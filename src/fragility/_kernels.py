@@ -1,9 +1,8 @@
-"""Hot numerical kernels, each with a loop form (numba-compiled when the
-backend allows) and a vectorized pure-numpy twin.
+"""Hot numerical kernels, in vectorized numpy.
 
-Everything here works in log space off a shared table of log factorials,
-so the two backends agree to the last few ulps; decision thresholds that
-matter carry explicit slack instead of relying on bit equality.
+Everything here works in log space off a shared table of log factorials;
+decision thresholds that matter carry explicit slack instead of relying
+on bit equality.
 
 Conventions shared by the callers:
 
@@ -17,12 +16,8 @@ Conventions shared by the callers:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import gammaln
-
-from ._backend import USE_NUMBA, njit
 
 # log-pmf inclusion slack for the two-sided rule: a table enters the tail
 # sum when logpmf(x) <= logpmf(observed) + _SLACK
@@ -34,97 +29,7 @@ def log_factorials(total: int) -> np.ndarray:
     return gammaln(np.arange(total + 2, dtype=np.float64) + 1.0)
 
 
-# ----------------------------------------------------------------------
-# loop forms (compiled under the numba backend)
-# ----------------------------------------------------------------------
-
-
-def _fisher_p_loops(lf, a, b, c, d):
-    r1 = a + b
-    r2 = c + d
-    c1 = a + c
-    n = r1 + r2
-    lo = c1 - r2
-    if lo < 0:
-        lo = 0
-    hi = r1 if r1 < c1 else c1
-    base = lf[n] - lf[c1] - lf[n - c1]
-    lobs = lf[r1] - lf[a] - lf[r1 - a] + lf[r2] - lf[c1 - a] - lf[r2 - c1 + a] - base
-    thresh = lobs + _SLACK
-    p = 0.0
-    for x in range(lo, hi + 1):
-        lx = lf[r1] - lf[x] - lf[r1 - x] + lf[r2] - lf[c1 - x] - lf[r2 - c1 + x] - base
-        if lx <= thresh:
-            p += math.exp(lx)
-    return p if p < 1.0 else 1.0
-
-
-def _reversal_grid_loops(lf, a, b, c, d, alpha, sig0, gi_lo, gi_hi, gj_lo, gj_hi):
-    ni = gi_hi - gi_lo + 1
-    nj = gj_hi - gj_lo + 1
-    out = np.zeros((ni, nj), dtype=np.uint8)
-    for ii in range(ni):
-        i = gi_lo + ii
-        for jj in range(nj):
-            j = gj_lo + jj
-            p = _fisher_scalar(lf, a + i, b - i, c + j, d - j)
-            sig = 1 if p < alpha else 0
-            if sig != sig0:
-                out[ii, jj] = 1
-    return out
-
-
-def _comp_prob_loops(lf, prefix, a, b, c, d, k, pa, pb, pc, pd, gi_lo, gj_lo):
-    # P[random k-subset admits a permitted reversal], exact, by summing the
-    # multivariate hypergeometric pmf over 4-cell compositions whose
-    # permitted-shift rectangle contains a reversing cell.
-    n = a + b + c + d
-    lbase = lf[n] - lf[k] - lf[n - k]
-    total = 0.0
-    k1_hi = k if k < a else a
-    for k1 in range(0, k1_hi + 1):
-        rem1 = k - k1
-        k2_hi = rem1 if rem1 < b else b
-        for k2 in range(0, k2_hi + 1):
-            rem2 = rem1 - k2
-            k3_lo = rem2 - d
-            if k3_lo < 0:
-                k3_lo = 0
-            k3_hi = rem2 if rem2 < c else c
-            for k3 in range(k3_lo, k3_hi + 1):
-                k4 = rem2 - k3
-                i0 = -k1 if pa else 0
-                i1 = k2 if pb else 0
-                j0 = -k3 if pc else 0
-                j1 = k4 if pd else 0
-                x0 = i0 - gi_lo
-                x1 = i1 - gi_lo
-                y0 = j0 - gj_lo
-                y1 = j1 - gj_lo
-                cnt = (
-                    prefix[x1 + 1, y1 + 1]
-                    - prefix[x0, y1 + 1]
-                    - prefix[x1 + 1, y0]
-                    + prefix[x0, y0]
-                )
-                if cnt > 0:
-                    lp = (
-                        lf[a] - lf[k1] - lf[a - k1]
-                        + lf[b] - lf[k2] - lf[b - k2]
-                        + lf[c] - lf[k3] - lf[c - k3]
-                        + lf[d] - lf[k4] - lf[d - k4]
-                        - lbase
-                    )
-                    total += math.exp(lp)
-    return total if total < 1.0 else 1.0
-
-
-# ----------------------------------------------------------------------
-# numpy twins
-# ----------------------------------------------------------------------
-
-
-def fisher_p_numpy(lf, a, b, c, d):
+def fisher_p(lf, a, b, c, d):
     """Two-sided Fisher exact p for one table, vectorized over the support."""
     r1 = a + b
     r2 = c + d
@@ -140,7 +45,14 @@ def fisher_p_numpy(lf, a, b, c, d):
     return p if p < 1.0 else 1.0
 
 
-def reversal_grid_numpy(lf, a, b, c, d, alpha, sig0, gi_lo, gi_hi, gj_lo, gj_hi):
+# the grid's per-cell p-values go through this binding, made at import, so
+# wrapping the public ``fisher_p`` (to count scalar calls) leaves the grid alone
+_cell_p = fisher_p
+
+
+def reversal_grid(lf, a, b, c, d, alpha, sig0, gi_lo, gi_hi, gj_lo, gj_hi):
+    """uint8 grid over shifts gi_lo <= i <= gi_hi, gj_lo <= j <= gj_hi:
+    1 where the decision at alpha differs from sig0."""
     ni = gi_hi - gi_lo + 1
     nj = gj_hi - gj_lo + 1
     out = np.zeros((ni, nj), dtype=np.uint8)
@@ -148,15 +60,18 @@ def reversal_grid_numpy(lf, a, b, c, d, alpha, sig0, gi_lo, gi_hi, gj_lo, gj_hi)
         i = gi_lo + ii
         for jj in range(nj):
             j = gj_lo + jj
-            p = fisher_p_numpy(lf, a + i, b - i, c + j, d - j)
+            p = _cell_p(lf, a + i, b - i, c + j, d - j)
             sig = 1 if p < alpha else 0
             if sig != sig0:
                 out[ii, jj] = 1
     return out
 
 
-def comp_prob_numpy(lf, prefix, a, b, c, d, k, pa, pb, pc, pd, gi_lo, gj_lo):
-    # chunked over k1 so memory stays O(k^2) while flops match the loop form
+def comp_prob(lf, prefix, a, b, c, d, k, pa, pb, pc, pd, gi_lo, gj_lo):
+    """Exact P[a uniform k-subset admits a permitted reversal]: the
+    multivariate hypergeometric pmf summed over the 4-cell compositions
+    whose permitted-shift rectangle contains a reversing cell."""
+    # chunked over k1 so memory stays O(k^2)
     n = a + b + c + d
     lbase = lf[n] - lf[k] - lf[n - k]
     total = 0.0
@@ -193,22 +108,6 @@ def comp_prob_numpy(lf, prefix, a, b, c, d, k, pa, pb, pc, pd, gi_lo, gj_lo):
         )
         total += float(np.exp(lp).sum())
     return total if total < 1.0 else 1.0
-
-
-# ----------------------------------------------------------------------
-# backend dispatch
-# ----------------------------------------------------------------------
-
-if USE_NUMBA:
-    _fisher_scalar = njit(cache=True)(_fisher_p_loops)
-    fisher_p = _fisher_scalar
-    reversal_grid = njit(cache=True)(_reversal_grid_loops)
-    comp_prob = njit(cache=True)(_comp_prob_loops)
-else:
-    _fisher_scalar = fisher_p_numpy
-    fisher_p = fisher_p_numpy
-    reversal_grid = reversal_grid_numpy
-    comp_prob = comp_prob_numpy
 
 
 def prefix_sums(grid: np.ndarray) -> np.ndarray:

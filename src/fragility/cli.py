@@ -893,7 +893,7 @@ def main(argv=None) -> int:
         if trajectory:
             print("trajectory tail:", file=sys.stderr)
             for it in trajectory[-8:]:
-                say(f"  step {it.step}: k_eval={it.k_eval} p_hat={it.p_hat:.4g} "
+                print(f"  step {it.step}: k_eval={it.k_eval} p_hat={it.p_hat:.4g} "
                       f"k_next={it.k_next:.2f}", file=sys.stderr)
             print("a larger -T or -B usually stabilizes the search", file=sys.stderr)
         return 3

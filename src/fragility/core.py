@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._kernels import log_factorials, prefix_sums, reversal_grid
+from ._kernels import comp_prob, fisher_p, log_factorials, prefix_sums, reversal_grid
 from .cases import CaseFrame, ModificationPlan, Modifier, table_from_frame
 from .errors import InvalidParameterError, UnconvergedFitError
 from .stats import Table2x2, TestSpec, is_significant
@@ -131,8 +131,6 @@ class _TableReversal:
     def p_of_shift(self, i: int, j: int) -> float:
         t = self.table
         if self.kernel:
-            from ._kernels import fisher_p
-
             return float(fisher_p(self.lf, t.a + i, t.b - i, t.c + j, t.d - j))
         return float(self._table_p(t.a + i, t.b - i, t.c + j, t.d - j))
 
@@ -202,8 +200,6 @@ class _TableReversal:
 
     def prob_reversal(self, k: int) -> float:
         """Exact P[a uniform k-subset admits a permitted reversal]."""
-        from ._kernels import comp_prob
-
         t = self.table
         self.ensure(k)
         pa, pb, pc, pd = self.perms

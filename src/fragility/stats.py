@@ -336,8 +336,8 @@ class TestSpec:
     the exact exchangeable-table machinery. make_fast_eval, when present,
     builds a per-frame evaluator with a vectorized single-flip method used
     by the greedy search; results match p_value up to solver tolerance.
-    kernel names a compiled grid kernel for the table test ("fisher") so
-    the exact machinery can avoid per-cell Python calls.
+    kernel names the log-factorial kernels for the table test ("fisher")
+    so the exact machinery can use them in place of table_p.
     """
 
     name: str

@@ -37,7 +37,7 @@ from .core import (
     reversible,
 )
 from .errors import DiagnosticError, InvalidParameterError
-from .stats import Table2x2, TestSpec, is_significant
+from .stats import Table2x2, TestSpec, _lchoose, is_significant
 
 __all__ = [
     "ReversalEstimate",
@@ -434,12 +434,6 @@ def sgfi(
         at=est_at,
         below=below,
     )
-
-
-def _lchoose(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def exact_sfi_2x2(

@@ -1,9 +1,6 @@
-"""Command-line surface: exit codes, JSON reports, determinism, backends."""
+"""Command-line surface: exit codes, JSON reports, determinism, repro."""
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -186,14 +183,20 @@ def test_input_errors_exit_2(capsys, argv):
 # --- exit code 3: diagnostics ---------------------------------------------------
 
 
-def test_unreachable_level_is_a_diagnostic(capsys):
-    rc, _, err = run(
-        capsys, "sgfi", "--table", T3, "--r", "0.9", "-T", "20", "-B", "50",
-    )
+@pytest.mark.parametrize("json_out", [False, True], ids=["human", "json"])
+def test_unreachable_level_is_a_diagnostic(capsys, json_out):
+    argv = ["sgfi", "--table", T3, "--r", "0.9", "-T", "20", "-B", "50"]
+    if json_out:
+        argv += ["--json", "-"]
+    rc, out, err = run(capsys, *argv)
     assert rc == 3
     assert "error:" in err
     assert "trajectory tail:" in err
+    # the steps stay on stderr when --json - silences the human lines
+    assert any(ln.lstrip().startswith("step ") for ln in err.splitlines())
     assert "-T or -B" in err
+    if json_out:
+        assert out == ""
 
 
 # --- repro ----------------------------------------------------------------------
@@ -223,34 +226,3 @@ def test_repro_json(capsys):
     assert len(report["checks"]) == 8
     names = [c["name"] for c in report["checks"]]
     assert "election 538 switches and closed form near 38814" in names
-
-
-# --- subprocess-level checks ----------------------------------------------------
-
-
-def cli_subprocess(args, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
-    return subprocess.run(
-        [sys.executable, "-m", "fragility.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    )
-
-
-def test_backends_agree_on_decisions():
-    args = ["sgfi", "--table", T3, "--seed", "0", "-B", "100", "-T", "30", "--json", "-"]
-    auto = cli_subprocess(args)
-    forced = cli_subprocess(args, {"FRAGILITY_BACKEND": "numpy"})
-    assert auto.returncode == forced.returncode == 0
-    a, f = json.loads(auto.stdout), json.loads(forced.stdout)
-    assert a["result"] == f["result"]
-    assert a["confirmation"]["at"]["k"] == f["confirmation"]["at"]["k"]
-
-
-def test_bad_backend_value_fails_loudly():
-    proc = cli_subprocess(["fi", "--table", T3], {"FRAGILITY_BACKEND": "cuda"})
-    assert proc.returncode != 0
-    assert "FRAGILITY_BACKEND" in proc.stderr

@@ -1,17 +1,20 @@
 """Exact and greedy fragility searches against brute-force oracles.
 
-The exact 2x2 index is checked against full enumeration of net event
-shifts scored by scipy's Fisher test; subset reversibility is checked the
-same way over composition-bounded shifts.
+The exact 2x2 index and the reversal grid under it are checked against
+full enumeration of net event shifts scored by scipy's Fisher test;
+subset reversibility is checked the same way over composition-bounded
+shifts.
 """
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from conftest import ALPHA, scipy_p
+from conftest import ALPHA, TABLE3, reversing_shifts, scipy_p
+from fragility._kernels import log_factorials, reversal_grid
 from fragility.cases import (
     ModificationPlan,
     Modifier,
@@ -133,6 +136,44 @@ def test_fi_matches_shift_enumeration(a, b, c, d, fisher05):
         frame = frame_from_table(Table2x2(a, b, c, d))
         after = table_from_frame(apply_plan(frame, res.plan)).as_tuple()
         assert (scipy_p(*after) < ALPHA) != res.initial_significant
+
+
+# --- reversal grid --------------------------------------------------------------
+
+
+def check_grid_against_scipy(cells, kmax):
+    """The kernel grid over every shift of at most kmax per direction marks
+    exactly the shifts that reverse scipy's Fisher decision."""
+    a, b, c, d = cells
+    gi_lo, gi_hi = -min(kmax, a), min(kmax, b)
+    gj_lo, gj_hi = -min(kmax, c), min(kmax, d)
+    sig0 = scipy_p(*cells) < ALPHA
+    grid = reversal_grid(
+        log_factorials(a + b + c + d), a, b, c, d, ALPHA, int(sig0),
+        gi_lo, gi_hi, gj_lo, gj_hi,
+    )
+    assert grid.shape == (gi_hi - gi_lo + 1, gj_hi - gj_lo + 1)
+    assert set(np.unique(grid)) <= {0, 1}
+    marked = {(int(x) + gi_lo, int(y) + gj_lo) for x, y in np.argwhere(grid == 1)}
+    assert marked == set(reversing_shifts(cells, kmax))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=hst.integers(0, 12),
+    b=hst.integers(0, 12),
+    c=hst.integers(0, 12),
+    d=hst.integers(0, 12),
+)
+@example(a=0, b=2, c=0, d=5)
+def test_reversal_grid_matches_scipy(a, b, c, d):
+    assume(boundary_safe(a, b, c, d))
+    check_grid_against_scipy((a, b, c, d), max(a, b, c, d))
+
+
+def test_reversal_grid_worked_window():
+    # the 61x61 window of shifts up to 30 each way around the worked table
+    check_grid_against_scipy(TABLE3, 30)
 
 
 # --- greedy generalized index ---------------------------------------------------
