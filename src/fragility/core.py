@@ -374,6 +374,7 @@ def gfi_greedy(
     tabular = (
         test.table_p is not None and len(frame.arm_levels) <= 2 and L == 2
     )
+    t = table_from_frame(frame).as_tuple() if tabular else None
     fast_eval = None
     if not tabular and test.make_fast_eval is not None and L == 2:
         fast_eval = test.make_fast_eval(frame)
@@ -387,7 +388,6 @@ def gfi_greedy(
             break
         cands: list[tuple[float, int, str, int, int]] = []
         if tabular:
-            t = _counts(frame.arm_codes, y)
             cell_p: dict[int, float] = {}
             for r in rows:
                 m = 1 - y[r]  # binary: the only candidate level
@@ -429,6 +429,8 @@ def gfi_greedy(
                 )
             break
         p_new, cid, label, r, m = best
+        if tabular:
+            t = _moved(t, int(frame.arm_codes[r] * 2 + y[r]))
         y[r] = m
         available[r, :] = False
         entries.append((cid, label))
@@ -443,14 +445,6 @@ def gfi_greedy(
                 index, ModificationPlan(tuple(entries)), sig0, p0, p_cur
             )
     return FragilityResult(UNBOUNDED, ModificationPlan(()), sig0, p0, None)
-
-
-def _counts(arm_codes: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int]:
-    a = int(np.sum((arm_codes == 0) & (y == 0)))
-    b = int(np.sum((arm_codes == 0) & (y == 1)))
-    c = int(np.sum((arm_codes == 1) & (y == 0)))
-    d = int(np.sum((arm_codes == 1) & (y == 1)))
-    return a, b, c, d
 
 
 def _moved(t: tuple[int, int, int, int], cell: int) -> tuple[int, int, int, int]:

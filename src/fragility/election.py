@@ -194,8 +194,7 @@ def sgfi_half_closed_form(population: int, pool: int, switches: int) -> ClosedFo
     """Minimal m with P[Hypergeometric(population, pool, m) >= switches] > 1/2.
 
     Brackets around the initializer and bisects the monotone survival
-    function; for populations beyond 10^7 the tail uses the binomial
-    approximation (see hypergeom_sf).
+    function, evaluated exactly by hypergeom_sf.
     """
     for name, v in (("population", population), ("pool", pool), ("switches", switches)):
         if not isinstance(v, int) or isinstance(v, bool):
@@ -210,7 +209,7 @@ def sgfi_half_closed_form(population: int, pool: int, switches: int) -> ClosedFo
 
     def above(m: int) -> bool:
         # exact ties sf = 1/2 (e.g. pool 1, even population) must not count
-        # as crossings just because 1 - exp(log(1/2)) rounds an ulp high
+        # as crossings just because the tail rounds an ulp high
         return hypergeom_sf(population, pool, m, switches) > 0.5 + 1e-12
 
     m0 = min(max(initializer, switches), population)

@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import betainc, gammaln, ndtr
+from scipy.special import ndtr
 
 from ._kernels import fisher_p, log_factorials
 from .errors import InvalidParameterError, SingularDesignError, UnconvergedFitError
@@ -32,10 +32,6 @@ __all__ = [
     "fisher_test",
     "logistic_wald_test",
 ]
-
-# populations above this use the binomial approximation for tail sums
-_EXACT_SF_LIMIT = 10_000_000
-
 
 @dataclass(frozen=True)
 class Table2x2:
@@ -111,68 +107,34 @@ def _check_hypergeom_params(population, successes, draws):
 def hypergeom_pmf(population: int, successes: int, draws: int, count: int) -> float:
     """P[X = count] for X ~ Hypergeometric(population, successes, draws).
 
-    Exact in log space; zero outside the support.
+    scipy.stats.hypergeom's exact pmf; zero outside the support.
     """
     _check_hypergeom_params(population, successes, draws)
     lo = max(0, draws - (population - successes))
     hi = min(draws, successes)
     if count < lo or count > hi:
         return 0.0
-    lp = (
-        _lchoose(successes, count)
-        + _lchoose(population - successes, draws - count)
-        - _lchoose(population, draws)
-    )
-    return math.exp(lp)
+    from scipy.stats import hypergeom  # imported on first use: it is slow to load
+
+    return float(hypergeom.pmf(count, population, successes, draws))
 
 
-def hypergeom_sf(
-    population: int,
-    successes: int,
-    draws: int,
-    threshold: int,
-    method: str = "auto",
-) -> float:
+def hypergeom_sf(population: int, successes: int, draws: int, threshold: int) -> float:
     """P[X >= threshold] for X ~ Hypergeometric(population, successes, draws).
 
-    method 'exact' sums the pmf (chunked, log space); 'binomial' uses the
-    regularized incomplete beta of the Binomial(draws, successes/population)
-    tail, appropriate when draws << population; 'auto' picks 'binomial'
-    above a population of 10^7.
+    scipy.stats.hypergeom's exact tail at every population size; exactly 1
+    and 0 outside the support.
     """
     _check_hypergeom_params(population, successes, draws)
-    if method not in ("auto", "exact", "binomial"):
-        raise InvalidParameterError(f"unknown method {method!r}")
     lo = max(0, draws - (population - successes))
     hi = min(draws, successes)
     if threshold <= lo:
         return 1.0
     if threshold > hi:
         return 0.0
-    if method == "auto":
-        method = "binomial" if population > _EXACT_SF_LIMIT else "exact"
-    if method == "binomial":
-        p = successes / population
-        # P[Binom(m, p) >= t] = I_p(t, m - t + 1)
-        return float(betainc(threshold, draws - threshold + 1, p))
-    lbase = _lchoose(population, draws)
-    lk = math.lgamma(successes + 1)
-    lrest = math.lgamma(population - successes + 1)
-    total = 0.0
-    for start in range(threshold, hi + 1, 1_000_000):
-        stop = min(start + 1_000_000, hi + 1)
-        x = np.arange(start, stop, dtype=np.float64)
-        lp = (
-            lk
-            - gammaln(x + 1.0)
-            - gammaln(successes - x + 1.0)
-            + lrest
-            - gammaln(draws - x + 1.0)
-            - gammaln(population - successes - draws + x + 1.0)
-            - lbase
-        )
-        total += float(np.exp(lp).sum())
-    return min(total, 1.0)
+    from scipy.stats import hypergeom  # imported on first use: it is slow to load
+
+    return float(hypergeom.sf(threshold - 1, population, successes, draws))
 
 
 @lru_cache(maxsize=64)

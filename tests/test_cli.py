@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fragility.cli import emit_report, main
@@ -147,6 +148,72 @@ def test_election_eq1(capsys):
     rc, report, _ = run_json(capsys, "election", "--eq1", "100,100,7")
     assert rc == 0
     assert report["closed_form"]["index"] == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--table", "0,1,0,1"), ("--table", T3, "--r", "1-"), ("--table", T3, "--r", "0")],
+    ids=["no-events", "almost-sure", "r0"],
+)
+def test_sgfi_json_without_root_finder(capsys, argv):
+    # these answers need no Robbins-Monro search, so there is no Polyak mean
+    rc, report, _ = run_json(capsys, "sgfi", *argv)
+    assert rc == 0
+    assert report["polyak_mean"] is None
+
+
+def test_emit_report_numpy_scalars():
+    report = {"i": np.int64(3), "f": np.float32(0.5), "b": np.bool_(True), "d": np.float64(0.1)}
+    text = emit_report(report)
+    assert json.loads(text) == {"i": 3, "f": 0.5, "b": True, "d": 0.1}
+    with pytest.raises(TypeError):
+        emit_report({"x": object()})
+
+
+# human output of the report commands, byte for byte
+GOLDEN = [
+    (
+        ("fi", "--table", T3),
+        "fragility index: 6\n"
+        "p before: 0.0104888   p after: 0.0532337\n"
+        "plan: 6 modification(s)\n"
+        "  arm1: event -> nonevent x6\n",
+    ),
+    (
+        ("gfi", "--table", T2, "--q", "0.25"),
+        "generalized fragility index: -7\n"
+        "p before: 0.489839   p after: 0.0325533\n"
+        "plan: 7 modification(s)\n"
+        "  arm2: event -> nonevent x7\n"
+        "note: not significant at the chosen alpha before any modification; the negative "
+        "index counts outcome modifications needed to make the result significant\n",
+    ),
+    (
+        ("sgfi", "--table", T3, "--seed", "0", "-B", "100", "-T", "30"),
+        "stochastic generalized fragility index: 21   (r=0.5, q=0)\n"
+        "p before: 0.0104888   polyak mean: 25.31\n"
+        "confirmation: p_hat(21) = 0.5125 > r >= p_hat(20) = 0.4125\n",
+    ),
+    (
+        ("sgfi", "--table", T3, "--seed", "0", "-B", "100", "-T", "30",
+         "--grid", "0.25,0.5 x 0"),
+        "q \\ r           0.25       0.5\n"
+        "0                 19        21\n",
+    ),
+    (
+        ("election", "--eq1", "100,100,7"),
+        "closed-form SGFI(1/2): 7   (initializer 7, approximation 7.00)\n"
+        "sf(7) = 1 > 1/2 >= sf(6) = 0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,want", GOLDEN, ids=["fi", "gfi", "sgfi", "grid", "eq1"])
+def test_human_output_golden(capsys, argv, want):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0
+    assert err == ""
+    assert out == want
 
 
 def test_version(capsys):

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.stats import hypergeom
 
 from fragility.election import (
     StateTally,
@@ -228,6 +229,18 @@ def test_closed_form_matches_fraction_oracle(population, pool, switches):
     assert got.sf_below == pytest.approx(
         float(fraction_sf(population, pool, want - 1, switches)), abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "population,pool,switches",
+    [(201884519, 2625052, 4660), (248335012, 700631, 3995), (139535251, 226617, 750)],
+)
+def test_closed_form_is_the_smallest_crossing_above_ten_million(population, pool, switches):
+    # above 10^7 an approximate tail can pick the wrong m; scipy's exact
+    # tail is the reference
+    m = sgfi_half_closed_form(population, pool, switches).index
+    assert hypergeom.sf(switches - 1, population, pool, m) > 0.5
+    assert hypergeom.sf(switches - 1, population, pool, m - 1) <= 0.5
 
 
 def test_closed_form_pool_equals_population_is_identity():

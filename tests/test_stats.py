@@ -100,16 +100,8 @@ def test_hypergeom_sf_matches_enumeration(population, successes, draws, threshol
     assert got == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
 
-def test_hypergeom_sf_branches_agree_at_scale():
-    # the election reduction runs on the beta-function branch; the chunked
-    # exact branch and scipy must agree with it well inside the 1/2 margin
+def test_hypergeom_sf_election_bracket():
     N, K, g = 194331526, 2693686, 538
-    for draws in (38788, 38789):
-        b = hypergeom_sf(N, K, draws, g, method="binomial")
-        e = hypergeom_sf(N, K, draws, g, method="exact")
-        s = st.hypergeom.sf(g - 1, N, K, draws)
-        assert b == pytest.approx(e, abs=5e-6)
-        assert e == pytest.approx(s, abs=5e-6)
     assert hypergeom_sf(N, K, 38789, g) > 0.5 >= hypergeom_sf(N, K, 38788, g)
 
 
@@ -118,8 +110,6 @@ def test_hypergeom_validation():
         hypergeom_sf(10, 11, 5, 2)
     with pytest.raises(InvalidParameterError):
         hypergeom_sf(10, 5, 11, 2)
-    with pytest.raises(InvalidParameterError):
-        hypergeom_sf(10, 5, 5, 2, method="nonsense")
 
 
 # --- Fisher ------------------------------------------------------------------

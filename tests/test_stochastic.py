@@ -13,8 +13,8 @@ import pytest
 
 from conftest import ALPHA, ORACLE_KMAX, oracle_crossing, scipy_p
 from fragility.cases import Modifier, empirical_modifier, frame_from_table
-from fragility.cli import _exact_prob_reversal
 from fragility.errors import InvalidParameterError
+from fragility.repro import _exact_prob_reversal
 from fragility.stats import Table2x2
 from fragility.stochastic import (
     SgfiConfig,
