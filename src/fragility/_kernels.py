@@ -90,13 +90,7 @@ def comp_prob(lf, prefix, a, b, c, d, k, pa, pb, pc, pd, gi_lo, gj_lo):
         i1 = (k2v if pb else np.zeros_like(k2v)) - gi_lo
         j0 = (-k3v if pc else np.zeros_like(k3v)) - gj_lo
         j1 = (k4v if pd else np.zeros_like(k4v)) - gj_lo
-        cnt = (
-            prefix[i1 + 1, j1 + 1]
-            - prefix[i0, j1 + 1]
-            - prefix[i1 + 1, j0]
-            + prefix[i0, j0]
-        )
-        hit = cnt > 0
+        hit = rect_counts(prefix, i0, i1, j0, j1) > 0
         if not hit.any():
             continue
         lp = (
@@ -110,8 +104,17 @@ def comp_prob(lf, prefix, a, b, c, d, k, pa, pb, pc, pd, gi_lo, gj_lo):
     return total if total < 1.0 else 1.0
 
 
+def rect_counts(prefix, x0, x1, y0, y1):
+    """Marked cells in the grid rectangles x0 <= x <= x1, y0 <= y <= y1
+    (grid indices, inclusive), vectorized over index arrays."""
+    return prefix[x1 + 1, y1 + 1] - prefix[x0, y1 + 1] - prefix[x1 + 1, y0] + prefix[x0, y0]
+
+
 def prefix_sums(grid: np.ndarray) -> np.ndarray:
-    """2D inclusive prefix sums with a zero border, int64."""
-    out = np.zeros((grid.shape[0] + 1, grid.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(grid, axis=0, dtype=np.int64), axis=1, out=out[1:, 1:])
+    """2D inclusive prefix sums with a zero border. No sum exceeds the cell
+    count, so int32 holds them below 2**31 cells, at half the memory of the
+    int64 used above that."""
+    dtype = np.int32 if grid.size < 2**31 else np.int64
+    out = np.zeros((grid.shape[0] + 1, grid.shape[1] + 1), dtype=dtype)
+    np.cumsum(np.cumsum(grid, axis=0, dtype=dtype), axis=1, out=out[1:, 1:])
     return out

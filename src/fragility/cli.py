@@ -342,15 +342,17 @@ def cmd_gfi(args, argv) -> tuple[int, dict]:
 
 
 def cmd_sgfi(args, argv) -> tuple[int, dict]:
+    if args.trajectory == "-" and args.json == "-":
+        raise InvalidParameterError("--trajectory - and --json - cannot both write to stdout")
     frame = _load_frame(args)
     test = _make_test(args, frame)
 
     def config(r):
         return SgfiConfig(r=r, trials=args.trials, iterations=args.iterations,
-                          seed=args.seed, threads=args.threads)
+                          seed=args.seed)
 
     common = {"B": args.trials, "T": args.iterations, "seed": args.seed,
-              "threads": args.threads, "test": test.name}
+              "test": test.name}
     if args.grid:
         return _sgfi_grid(args, argv, frame, test, config, common)
 
@@ -480,10 +482,10 @@ def cmd_election(args, argv) -> tuple[int, dict]:
 
 def cmd_repro(args, argv) -> tuple[int, dict]:
     t0 = time.perf_counter()
-    checks = repro.core_checks(args.seed, args.threads)
+    checks = repro.core_checks(args.seed)
     skipped = []
     if args.nhefs:
-        checks += repro.nhefs_checks(args.nhefs, args.seed, args.threads)
+        checks += repro.nhefs_checks(args.nhefs, args.seed)
     else:
         skipped.append("dataset-gated checks (supply --nhefs PATH to run them)")
     elapsed = time.perf_counter() - t0
@@ -498,7 +500,7 @@ def cmd_repro(args, argv) -> tuple[int, dict]:
     failures = sum(not ok for _, ok, _ in checks)
     say(f"{len(checks) - failures}/{len(checks)} checks passed in {elapsed:.1f}s")
 
-    params = {"seed": args.seed, "threads": args.threads, "nhefs": args.nhefs}
+    params = {"seed": args.seed, "nhefs": args.nhefs}
     report = _header("repro", argv, parameters=params, checks=rows, skipped=skipped,
                      failures=failures, timing_s=elapsed)
     return (1 if failures else 0), report
@@ -538,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-T", dest="iterations", type=int, default=60,
                    help="root-finder iterations")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--test", choices=("fisher", "logistic"))
     p.add_argument("--grid", help="sweep 'r1,r2,... x q1,q2,...' and print the table")
     p.add_argument("--trajectory", help="write the root-finder trajectory CSV here")
@@ -554,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run the pinned reference checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--nhefs", help="path to the follow-up study extract; enables "
                    "the dataset-gated checks")
     p.add_argument("--json", help="write the JSON report here ('-' for stdout)")

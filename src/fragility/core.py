@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._kernels import comp_prob, fisher_p, log_factorials, prefix_sums, reversal_grid
+from ._kernels import comp_prob, fisher_p, log_factorials, prefix_sums, rect_counts, reversal_grid
 from .cases import CaseFrame, ModificationPlan, Modifier, table_from_frame
 from .errors import InvalidParameterError, UnconvergedFitError
 from .stats import Table2x2, TestSpec, is_significant
@@ -176,27 +176,20 @@ class _TableReversal:
         t = self.table
         self.ensure(max(t.a, t.b, t.c, t.d))
 
-    def rect_has_reversal(self, i0: int, i1: int, j0: int, j1: int) -> bool:
-        """Any reversing shift with i0 <= i <= i1 and j0 <= j <= j1?
-        Bounds must already lie within the ensured window."""
-        S = self.prefix
-        x0, x1 = i0 - self.gi_lo, i1 - self.gi_lo
-        y0, y1 = j0 - self.gj_lo, j1 - self.gj_lo
-        cnt = S[x1 + 1, y1 + 1] - S[x0, y1 + 1] - S[x1 + 1, y0] + S[x0, y0]
-        return bool(cnt > 0)
+    def comps_reversible(self, comps) -> np.ndarray:
+        """Row by row over an (m, 4) array of cell compositions: can a
+        subset with that composition reverse the decision, flipping each
+        member at most once and only in permitted directions?"""
+        comps = np.asarray(comps, dtype=np.int64)
+        self.ensure(int(comps.max()))
+        # the permitted-shift rectangle of each row: -k1 <= i <= k2, -k3 <= j <= k4
+        ext = comps * (np.array([-1, 1, -1, 1]) * np.asarray(self.perms))
+        ext -= np.array([self.gi_lo, self.gi_lo, self.gj_lo, self.gj_lo])
+        return rect_counts(self.prefix, ext[:, 0], ext[:, 1], ext[:, 2], ext[:, 3]) > 0
 
     def comp_reversible(self, comp: tuple[int, int, int, int]) -> bool:
-        """Can a subset with this 4-cell composition reverse the decision,
-        flipping each member at most once and only in permitted directions?"""
-        k1, k2, k3, k4 = comp
-        self.ensure(max(k1, k2, k3, k4))
-        pa, pb, pc, pd = self.perms
-        return self.rect_has_reversal(
-            -k1 if pa else 0,
-            k2 if pb else 0,
-            -k3 if pc else 0,
-            k4 if pd else 0,
-        )
+        """comps_reversible for one composition."""
+        return bool(self.comps_reversible([comp])[0])
 
     def prob_reversal(self, k: int) -> float:
         """Exact P[a uniform k-subset admits a permitted reversal]."""

@@ -105,9 +105,9 @@ def incidence_boundary() -> Check:
             f"{'UNBOUNDED' if is_unbounded(above) else above}")
 
 
-def stochastic_half_index(seed: int = 0, threads: int = 1) -> Check:
+def stochastic_half_index(seed: int = 0) -> Check:
     frame, mod0, test = _worked()
-    res = sgfi(frame, mod0, test, SgfiConfig(r=0.5, seed=seed, threads=threads))
+    res = sgfi(frame, mod0, test, SgfiConfig(r=0.5, seed=seed))
     return (f"stochastic index at r=1/2 within +-1 of {HALF_INDEX}",
             not res.unbounded and abs(res.index - HALF_INDEX) <= 1,
             f"index={res.index} polyak={res.polyak_mean:.3f}")
@@ -131,13 +131,12 @@ def exact_half_index() -> Check:
             f"P_{ex.index}={ex.p_at:.6f}); published 22, see README")
 
 
-def monte_carlo_vs_exact(seed: int = 0, threads: int = 1) -> Check:
+def monte_carlo_vs_exact(seed: int = 0) -> Check:
     frame, mod0, test = _worked()
     ok, parts = True, []
     for k in (15, 22, 30):
         exact_p = _exact_prob_reversal(WORKED, mod0, test, k)
-        est = probability_reversal(k, frame, mod0, test, trials=2000,
-                                   seed=seed, threads=threads)
+        est = probability_reversal(k, frame, mod0, test, trials=2000, seed=seed)
         band = 3.0 * math.sqrt(max(exact_p * (1.0 - exact_p), 1e-12) / 2000.0)
         ok &= abs(est.p_hat - exact_p) <= band
         parts.append(f"k={k}: |{est.p_hat:.4f}-{exact_p:.4f}|<={band:.4f}")
@@ -166,21 +165,21 @@ def insignificant_table() -> Check:
             f"p_after={res.p_after:.6g} reached={reached}; note emitted")
 
 
-def core_checks(seed: int = 0, threads: int = 1) -> list[Check]:
+def core_checks(seed: int = 0) -> list[Check]:
     """The checks that need no data beyond the package, in report order."""
     return [
         fisher_p_and_odds_ratio(),
         fragility_index_plus_6(),
         incidence_boundary(),
-        stochastic_half_index(seed, threads),
+        stochastic_half_index(seed),
         exact_half_index(),
-        monte_carlo_vs_exact(seed, threads),
+        monte_carlo_vs_exact(seed),
         election(),
         insignificant_table(),
     ]
 
 
-def nhefs_checks(path: str, seed: int = 0, threads: int = 1) -> list[Check]:
+def nhefs_checks(path: str, seed: int = 0) -> list[Check]:
     """The checks on the follow-up study extract at `path`."""
     covariates = ("smokeyrs",)
     frame = load_csv(path, arm="qsmk", outcome="death", covariates=covariates)
@@ -210,7 +209,7 @@ def nhefs_checks(path: str, seed: int = 0, threads: int = 1) -> list[Check]:
                    f"index={g9.index}"))
 
     for r, pinned in ((0.25, -1458), (0.5, -1517), (0.75, -1569)):
-        res = sgfi(frame, mod9, test, SgfiConfig(r=r, seed=seed, threads=threads))
+        res = sgfi(frame, mod9, test, SgfiConfig(r=r, seed=seed))
         checks.append((f"nhefs stochastic index r={r} near {pinned}",
                        not res.unbounded and abs(res.index - pinned) <= abs(pinned) * 0.02,
                        f"index={res.index}"))

@@ -8,16 +8,14 @@ approximation plus a +-1 confirmation walk; exact_sfi_2x2 computes the
 probabilities exactly on exchangeable 2x2 tables by summing multivariate
 hypergeometric masses of reversible compositions.
 
-Determinism: every Monte Carlo trial draws from its own generator seeded by
-(seed, trial index), so results are bit-identical for a given (inputs,
-seed, trials) regardless of thread count or scheduling.
+Determinism: one generator per estimate, seeded by the estimate's seed;
+results depend on (inputs, seed, trials).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -59,7 +57,7 @@ COMPOSITION_GUARD = 300
 WORST_CASE_GUARD = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReversalEstimate:
     """Monte Carlo estimate of P[a uniform k-subset admits a reversal]."""
 
@@ -78,6 +76,7 @@ class SgfiConfig:
     trials is the per-iteration Monte Carlo size B; iterations is the
     Robbins-Monro horizon T; step_scale a0 defaults to n/4; the final
     answer is confirmed with confirm_factor * trials per estimate.
+    threads is accepted and validated but has no effect.
     """
 
     r: RValue = 0.5
@@ -114,7 +113,7 @@ class SgfiConfig:
             raise InvalidParameterError("threads must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SgfiIteration:
     """One Robbins-Monro step: estimate at k_eval, then move to k_next."""
 
@@ -159,11 +158,6 @@ def _derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def probability_reversal(
     k: int,
     frame: CaseFrame,
@@ -176,10 +170,12 @@ def probability_reversal(
     """Monte Carlo estimate of P[a uniform k-subset admits a permitted
     reversal].
 
-    Exchangeable instances sample cell compositions and consult the exact
-    rectangle oracle; general instances sample case subsets and run the
-    restricted greedy search. Results depend only on (inputs, seed,
-    trials), never on the thread count.
+    Exchangeable instances draw all trials' cell compositions at once and
+    answer them with one lookup in the exact rectangle oracle; general
+    instances sample case subsets and run the restricted greedy search.
+    Every trial draws from one generator seeded by `seed`, so results
+    depend only on (inputs, seed, trials). threads is accepted and
+    validated but has no effect.
     """
     if not 0 <= k <= frame.n:
         raise InvalidParameterError(f"k must lie in [0, {frame.n}], got {k}")
@@ -188,36 +184,20 @@ def probability_reversal(
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
 
+    rng = np.random.default_rng(seed)
     if _exchangeable(frame, modifier, test):
         ctx = _context_for(
             table_from_frame(frame), test, _modifier_cell_perms(modifier)
         )
-        ctx.ensure(k)
-        cells = _frame_cell_codes(frame)
-        colors = np.asarray([int(np.sum(cells == c)) for c in range(4)])
-
-        def run_trial(t: int) -> bool:
-            rng = _trial_rng(seed, t)
-            comp = rng.multivariate_hypergeometric(colors, k)
-            return ctx.comp_reversible((int(comp[0]), int(comp[1]), int(comp[2]), int(comp[3])))
-
+        colors = np.bincount(_frame_cell_codes(frame), minlength=4)
+        comps = rng.multivariate_hypergeometric(colors, k, size=trials)
+        hits = int(np.count_nonzero(ctx.comps_reversible(comps)))
     else:
         ids = frame.case_ids
-
-        def run_trial(t: int) -> bool:
-            rng = _trial_rng(seed, t)
-            pos = rng.choice(frame.n, size=k, replace=False)
-            sub = ids[np.sort(pos)]
-            return not is_unbounded(gfi_greedy(frame, modifier, test, restriction=sub).index)
-
-    if threads == 1:
-        hits = sum(1 for t in range(trials) if run_trial(t))
-    else:
-        def run_chunk(chunk: np.ndarray) -> int:
-            return sum(1 for t in chunk if run_trial(int(t)))
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            hits = sum(ex.map(run_chunk, np.array_split(np.arange(trials), threads)))
+        hits = 0
+        for _ in range(trials):
+            sub = ids[np.sort(rng.choice(frame.n, size=k, replace=False))]
+            hits += not is_unbounded(gfi_greedy(frame, modifier, test, restriction=sub).index)
 
     return ReversalEstimate(
         k=k, p_hat=hits / trials, trials=trials, reversals=hits, seed=seed
@@ -370,7 +350,6 @@ def sgfi(
             k_eval, frame, modifier, test,
             trials=config.trials,
             seed=_derive_seed(config.seed, 1, t),
-            threads=config.threads,
         )
         step = (a0 / t**config.gamma) * (est.p_hat - r)
         k_real = min(max(k_real - step, 1.0), float(n))
@@ -394,7 +373,6 @@ def sgfi(
             kk, frame, modifier, test,
             trials=conf_trials,
             seed=_derive_seed(config.seed, 2, kk),
-            threads=config.threads,
         )
 
     walk_guard = config.iterations

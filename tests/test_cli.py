@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from fragility.cases import empirical_modifier, frame_from_table
 from fragility.cli import emit_report, main
+from fragility.stats import Table2x2, fisher_test
+from fragility.stochastic import SgfiConfig, exact_sfi_2x2, sgfi
 
 T3 = "102,326,216,985"
 T2 = "20,380,15,385"
@@ -117,6 +120,13 @@ def test_sgfi_trajectory_export(capsys, tmp_path):
     assert len(lines) == 31
 
 
+def test_sgfi_trajectory_and_json_cannot_share_stdout(capsys):
+    rc, out, err = run(capsys, "sgfi", "--table", T3, "--trajectory", "-", "--json", "-")
+    assert rc == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_sgfi_grid(capsys):
     rc, report, _ = run_json(
         capsys, "sgfi", "--table", T3, "--grid", "0.25,0.5 x 0", "--seed", "1",
@@ -125,7 +135,16 @@ def test_sgfi_grid(capsys):
     rows = report["grid"]
     assert [row["r"] for row in rows] == [0.25, 0.5]
     assert all(row["q"] == 0.0 for row in rows)
-    assert [row["index"] for row in rows] == [19, 21]
+    # each row is the library's answer for the same seed, B and T, and lies
+    # within +-1 of the exact crossing
+    table = Table2x2(*map(int, T3.split(",")))
+    frame = frame_from_table(table)
+    mod, test = empirical_modifier(frame, 0.0), fisher_test(alpha=0.05)
+    for row in rows:
+        cfg = SgfiConfig(r=row["r"], trials=200, iterations=60, seed=1)
+        assert row["index"] == sgfi(frame, mod, test, cfg).index
+        exact = exact_sfi_2x2(table, mod, test, r=row["r"]).index
+        assert abs(row["index"] - exact) <= 1
 
 
 def test_election_bundled_fixture(capsys):
@@ -191,8 +210,8 @@ GOLDEN = [
     (
         ("sgfi", "--table", T3, "--seed", "0", "-B", "100", "-T", "30"),
         "stochastic generalized fragility index: 21   (r=0.5, q=0)\n"
-        "p before: 0.0104888   polyak mean: 25.31\n"
-        "confirmation: p_hat(21) = 0.5125 > r >= p_hat(20) = 0.4125\n",
+        "p before: 0.0104888   polyak mean: 23.26\n"
+        "confirmation: p_hat(21) = 0.52 > r >= p_hat(20) = 0.4275\n",
     ),
     (
         ("sgfi", "--table", T3, "--seed", "0", "-B", "100", "-T", "30",

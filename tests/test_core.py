@@ -6,6 +6,7 @@ subset reversibility is checked the same way over composition-bounded
 shifts.
 """
 
+import itertools
 import pickle
 
 import numpy as np
@@ -26,6 +27,8 @@ from fragility.cases import (
 from fragility.core import (
     UNBOUNDED,
     FragilityResult,
+    _context_for,
+    _modifier_cell_perms,
     fi_2x2_exact,
     gfi_greedy,
     is_unbounded,
@@ -273,6 +276,34 @@ def test_composition_matches_shift_enumeration(data, fisher05):
     mod = empirical_modifier(frame, 0.0)
     got = reversible_2x2_exact(table, comp, mod, fisher05)
     assert got == oracle_comp_reversible(cells, comp)
+
+
+def oracle_cell_perms(cells, q):
+    """Each cell's members may flip when the within-arm rate of the outcome
+    they would take is at least q."""
+    a, b, c, d = cells
+    arm1, arm2 = max(a + b, 1), max(c + d, 1)
+    return (b / arm1 >= q, a / arm1 >= q, d / arm2 >= q, c / arm2 >= q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cells=hst.tuples(*[hst.integers(0, 5)] * 4), q=hst.sampled_from([0.0, 0.45]))
+@example(cells=(4, 3, 2, 5), q=0.0)
+@example(cells=(4, 3, 2, 5), q=0.45)  # masks cells a and d
+def test_batched_lookup_matches_shift_enumeration(cells, q, fisher05):
+    # q = 0.45 sits on no within-arm rate of a table this small
+    assume(sum(cells) > 0 and boundary_safe(*cells))
+    table = Table2x2(*cells)
+    mod = empirical_modifier(frame_from_table(table), q)
+    ctx = _context_for(table, fisher05, _modifier_cell_perms(mod))
+    comps = np.array(list(itertools.product(*(range(n + 1) for n in cells))))
+    got = ctx.comps_reversible(comps)
+    perms = oracle_cell_perms(cells, q)
+    want = [
+        oracle_comp_reversible(cells, tuple(k if p else 0 for k, p in zip(comp, perms)))
+        for comp in comps
+    ]
+    assert got.tolist() == want
 
 
 def test_reversible_monotone_in_restriction(frame3, fisher05):

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import ALPHA, ORACLE_KMAX, oracle_crossing, scipy_p
 from fragility.cases import Modifier, empirical_modifier, frame_from_table
+from fragility.core import _CTX_CACHE, _context_for, _modifier_cell_perms
 from fragility.errors import InvalidParameterError
 from fragility.repro import _exact_prob_reversal
 from fragility.stats import Table2x2
@@ -108,10 +109,25 @@ def test_probability_reversal_within_binomial_bands(frame3, mod0, fisher05, orac
 
 
 def test_probability_reversal_is_thread_invariant(frame3, mod0, fisher05):
-    one = probability_reversal(22, frame3, mod0, fisher05, trials=600, seed=9, threads=1)
-    four = probability_reversal(22, frame3, mod0, fisher05, trials=600, seed=9, threads=4)
-    again = probability_reversal(22, frame3, mod0, fisher05, trials=600, seed=9, threads=1)
-    assert one == four == again
+    one = probability_reversal(22, frame3, mod0, fisher05, trials=600, seed=9)
+    again = probability_reversal(22, frame3, mod0, fisher05, trials=600, seed=9)
+    assert one == again
+
+
+def test_probability_reversal_independent_of_grid_window(fisher05):
+    # the same estimate from a cold context, whose grid covers only the
+    # drawn compositions, and from one grown to the full grid
+    cells = (30, 70, 50, 50)
+    frame = frame_from_table(Table2x2(*cells))
+    mod = empirical_modifier(frame, 0.0)
+    for key in [key for key in _CTX_CACHE if key[0] == cells]:
+        del _CTX_CACHE[key]
+    cold = probability_reversal(9, frame, mod, fisher05, trials=500, seed=4)
+    ctx = _context_for(Table2x2(*cells), fisher05, _modifier_cell_perms(mod))
+    assert ctx.grid.shape[0] < cells[0] + cells[1] + 1
+    ctx.ensure_full()
+    assert ctx.grid.shape == (cells[0] + cells[1] + 1, cells[2] + cells[3] + 1)
+    assert probability_reversal(9, frame, mod, fisher05, trials=500, seed=4) == cold
 
 
 # --- the stochastic root finder -------------------------------------------------
@@ -136,12 +152,10 @@ def test_sgfi_crossing_below_default_r(frame3, mod0, fisher05):
 
 def test_sgfi_deterministic_across_threads_and_reruns(frame3, mod0, fisher05):
     base = dict(r=0.5, trials=100, iterations=30, seed=3)
-    one = sgfi(frame3, mod0, fisher05, SgfiConfig(**base, threads=1))
-    two = sgfi(frame3, mod0, fisher05, SgfiConfig(**base, threads=2))
-    again = sgfi(frame3, mod0, fisher05, SgfiConfig(**base, threads=1))
-    assert one.index == two.index == again.index
-    assert one.trajectory == two.trajectory == again.trajectory
-    assert one.polyak_mean == two.polyak_mean
+    one = sgfi(frame3, mod0, fisher05, SgfiConfig(**base))
+    again = sgfi(frame3, mod0, fisher05, SgfiConfig(**base))
+    assert one.index == again.index
+    assert one.trajectory == again.trajectory
     assert one == again
 
 
