@@ -352,7 +352,19 @@ def gfi_greedy(
     """
     if modifier.probs.shape[0] != frame.n:
         raise InvalidParameterError("modifier was built for a different frame")
-    p0 = test.p_value(frame)
+    levels = frame.outcome_levels
+    L = len(levels)
+    y = np.array(frame.outcome_codes)
+    tabular = (
+        test.table_p is not None and len(frame.arm_levels) <= 2 and L == 2
+    )
+    fast_eval = None
+    if not tabular and test.make_fast_eval is not None and L == 2:
+        # one exact fit gives p0 and the warm start of the batched refits
+        fast_eval = test.make_fast_eval(frame)
+        p0 = fast_eval.refit(y.astype(np.float64))
+    else:
+        p0 = test.p_value(frame)
     sig0 = is_significant(p0, test.alpha)
     allowed = np.zeros(frame.n, dtype=bool)
     if restriction is None:
@@ -361,17 +373,7 @@ def gfi_greedy(
         allowed[frame.positions_of(restriction)] = True
 
     available = modifier.permitted_matrix() & allowed[:, None]
-    levels = frame.outcome_levels
-    L = len(levels)
-    y = np.array(frame.outcome_codes)
-    tabular = (
-        test.table_p is not None and len(frame.arm_levels) <= 2 and L == 2
-    )
     t = table_from_frame(frame).as_tuple() if tabular else None
-    fast_eval = None
-    if not tabular and test.make_fast_eval is not None and L == 2:
-        fast_eval = test.make_fast_eval(frame)
-        fast_eval.refit(y.astype(np.float64))
 
     entries: list[tuple[int, str]] = []
     p_cur = p0

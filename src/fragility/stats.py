@@ -258,12 +258,10 @@ def logistic_fit(
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-eta) for eta >= 0 and e^eta / (1 + e^eta) below: neither
+    # exponential overflows
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def wald_p(fit: LogisticFit, index: int) -> float:
@@ -296,8 +294,10 @@ class TestSpec:
     table_p, when present, evaluates the same test straight from 2x2 cell
     counts; its presence marks the test as table-reducible, which unlocks
     the exact exchangeable-table machinery. make_fast_eval, when present,
-    builds a per-frame evaluator with a vectorized single-flip method used
-    by the greedy search; results match p_value up to solver tolerance.
+    builds a per-frame evaluator for the greedy search: refit(y) gives
+    p_value of the frame with outcomes y, and p_after_flips(y, rows) the
+    p-value after flipping each row in turn, computed in one batch; both
+    match p_value up to solver tolerance, NaN where its fit is unusable.
     kernel names the log-factorial kernels for the table test ("fisher")
     so the exact machinery can use them in place of table_p.
     """
@@ -343,17 +343,38 @@ def _design_matrix(frame: "CaseFrame", covariates: Sequence[str]) -> np.ndarray:
 
 
 class _LogisticFlipEval:
-    """Batched single-flip re-fitting for the greedy search.
+    """Batched single-flip refits for the greedy search.
 
-    Newton iterations run simultaneously for every candidate flip, warm
-    started from the current fit, so one greedy step costs a handful of
-    (m, p, p) batched solves instead of m cold fits.
+    Every candidate's Newton refit starts from the current fit, so all
+    candidates share the first step's weights and information and differ
+    only in the score, by (1 - 2 y_r) x_r: one p x p solve with a column
+    per candidate gives every first step (Pregibon's one-step update).
+    Later steps compute eta, mu and the score only for candidates still
+    unconverged, each information matrix being one product with the
+    per-case outer products X_i X_i^T. A candidate left without a usable
+    p (unconverged after MAX_STEPS, near separation or without a standard
+    error) gets the cold `logistic_fit`, so the p-values are those of
+    `p_value` up to solver tolerance and NaN exactly where its fit does
+    not converge.
     """
 
-    def __init__(self, frame: "CaseFrame", covariates: Sequence[str], alpha: float):
+    MAX_STEPS = 25
+    # log odds past which a converged refit is near separation: the
+    # likelihood is flat there, so where Newton stops depends on its path
+    # and the cold fit decides (it applies logistic_fit's separation rules)
+    NEAR_SEPARATION = 15.0
+
+    def __init__(self, frame: "CaseFrame", covariates: Sequence[str]):
         self.X = _design_matrix(frame, covariates)
         self.n, self.p = self.X.shape
+        # row i holds the outer product X_i X_i^T, flattened
+        self.XX = (self.X[:, :, None] * self.X[:, None, :]).reshape(self.n, -1)
+        self._ridge = 1e-12 * np.eye(self.p)
         self._base_beta = np.zeros(self.p)
+
+    def _info(self, w: np.ndarray) -> np.ndarray:
+        """Information X^T diag(w_j) X for each row w_j of w, plus the ridge."""
+        return (w @ self.XX).reshape(-1, self.p, self.p) + self._ridge
 
     def refit(self, y: np.ndarray) -> float:
         """Exact fit of the current outcome vector; updates the warm start."""
@@ -364,39 +385,63 @@ class _LogisticFlipEval:
 
     def p_after_flips(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Wald p of the arm coefficient after flipping outcome y[r] for each
-        candidate row r (one at a time). NaN marks a non-converged refit."""
-        X = self.X
-        m = rows.size
-        Y = np.repeat(y[None, :], m, axis=0)
-        Y[np.arange(m), rows] = 1.0 - Y[np.arange(m), rows]
-        B = np.repeat(self._base_beta[None, :], m, axis=0)
-        ok = np.zeros(m, dtype=bool)
-        for _ in range(25):
-            eta = B @ X.T  # (m, n)
-            mu = _sigmoid(eta)
-            resid = Y - mu
-            score = resid @ X  # (m, p)
-            done = np.max(np.abs(score), axis=1) < 1e-8
-            ok |= done
-            if ok.all():
+        candidate row r (one at a time). NaN marks a refit that does not
+        converge."""
+        X, m = self.X, rows.size
+        beta = np.repeat(self._base_beta[None, :], m, axis=0)
+        info = np.empty((m, self.p, self.p))
+        ok = np.zeros(m, dtype=bool)  # converged short of separation
+
+        def finish(fin, eta, fin_info):
+            info[fin] = fin_info
+            ok[fin] = np.max(np.abs(eta), axis=1) <= self.NEAR_SEPARATION
+
+        # shared first step: only the score depends on the flipped row
+        eta0 = X @ self._base_beta
+        mu0 = _sigmoid(eta0)
+        info0 = self._info((mu0 * (1.0 - mu0))[None, :])
+        score = (y - mu0) @ X + (1.0 - 2.0 * y[rows])[:, None] * X[rows]
+        done = np.max(np.abs(score), axis=1) < 1e-8
+        finish(done, eta0[None, :], info0)
+        act = np.flatnonzero(~done)
+        beta[act] += np.linalg.solve(info0[0], score[act].T).T
+
+        for _ in range(self.MAX_STEPS - 1):
+            if act.size == 0:
                 break
-            w = mu * (1.0 - mu)
-            info = np.einsum("mn,np,nq->mpq", w, X, X, optimize=True)
-            info += 1e-12 * np.eye(self.p)[None, :, :]
-            step = np.linalg.solve(info, score[:, :, None])[:, :, 0]
-            act = ~ok
-            B[act] += step[act]
-        eta = B @ X.T
-        mu = _sigmoid(eta)
-        separated = np.max(np.abs(eta), axis=1) > 30.0
-        w = mu * (1.0 - mu)
-        info = np.einsum("mn,np,nq->mpq", w, X, X, optimize=True)
-        cov = np.linalg.inv(info + 1e-12 * np.eye(self.p)[None, :, :])
-        se = np.sqrt(np.maximum(cov[:, 1, 1], 0.0))
-        z = np.abs(B[:, 1]) / np.where(se > 0, se, np.nan)
-        out = 2.0 * ndtr(-z)
-        out[separated | ~ok] = np.nan
+            eta = beta[act] @ X.T
+            mu = _sigmoid(eta)
+            resid = _flipped_resid(y, mu, rows[act])
+            score = resid @ X
+            done = np.max(np.abs(score), axis=1) < 1e-8
+            step_info = self._info(mu * (1.0 - mu))
+            finish(act[done], eta[done], step_info[done])
+            act, score, step_info = act[~done], score[~done], step_info[~done]
+            beta[act] += np.linalg.solve(step_info, score[:, :, None])[:, :, 0]
+
+        out = np.full(m, np.nan)
+        good = np.flatnonzero(ok)
+        if good.size:
+            cov = np.linalg.inv(info[good])
+            se = np.sqrt(np.maximum(cov[:, 1, 1], 0.0))
+            z = np.abs(beta[good, 1]) / np.where(se > 0, se, np.nan)
+            out[good] = 2.0 * ndtr(-z)
+        for i in np.flatnonzero(np.isnan(out)):
+            y2 = y.copy()
+            y2[rows[i]] = 1.0 - y2[rows[i]]
+            try:
+                out[i] = wald_p(logistic_fit(X, y2), 1)
+            except UnconvergedFitError:
+                pass
         return out
+
+
+def _flipped_resid(y: np.ndarray, mu: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """Residuals y' - mu, row j's y' being y with entry flip[j] flipped."""
+    resid = y - mu
+    j = np.arange(flip.size)
+    resid[j, flip] = (1.0 - y[flip]) - mu[j, flip]
+    return resid
 
 
 def logistic_wald_test(
@@ -413,7 +458,7 @@ def logistic_wald_test(
         return wald_p(fit, 1)
 
     def make_fast_eval(frame: "CaseFrame") -> _LogisticFlipEval:
-        return _LogisticFlipEval(frame, covariates, alpha)
+        return _LogisticFlipEval(frame, covariates)
 
     name = "logistic_wald" if covariates else "logistic_wald_unadjusted"
     return TestSpec(

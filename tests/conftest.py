@@ -4,11 +4,13 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.stats import fisher_exact
 
-from fragility.cases import frame_from_table
-from fragility.stats import Table2x2, fisher_test
+from fragility.cases import CaseFrame, frame_from_table
+from fragility.errors import UnconvergedFitError
+from fragility.stats import Table2x2, fisher_test, logistic_fit, wald_p
 
 # one verdict line per acceptance criterion, printed after the test lines
 # (fd-level capture would swallow them mid-run)
@@ -123,6 +125,52 @@ def oracle_crossing(probs, r):
 def oracle():
     """Exact P[E_k], k = 1..ORACLE_KMAX, for the worked table at q = 0."""
     return oracle_probabilities(TABLE3, ORACLE_KMAX)
+
+
+# --- small logistic frames with one covariate x ---------------------------------
+
+# 16 cases on which Newton refits warm started from the current fit run
+# away (|eta| ~ 1e12) for some single flips whose cold fits converge in a
+# few steps
+NEAR_SEPARATED = {
+    "arm": (1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 0, 1),
+    "outcome": (0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0),
+    "x": (0.713, 0.545, 0.498, 0.014, -0.755, 0.212, -0.657, -0.051,
+          0.469, -0.335, -0.348, -0.675, -0.403, -0.608, 0.241, 0.407),
+}
+
+
+def covariate_frame(arm, outcome, x):
+    return CaseFrame.from_columns(
+        [f"arm{a}" for a in arm],
+        ["event" if v else "none" for v in outcome],
+        {"x": np.asarray(x, dtype=np.float64)},
+    )
+
+
+def random_covariate_frame(seed, lo, hi):
+    """A frame of lo to hi cases with random arms, a N(0, 1) covariate and
+    logistic outcomes, redrawn until its own fit converges."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(lo, hi + 1))
+    while True:
+        arm = rng.integers(0, 2, n)
+        x = np.round(rng.normal(size=n), 6)
+        eta = -1.0 + 2.0 * rng.normal() * arm + 0.8 * x
+        y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
+        if not (0 < arm.sum() < n and 0 < y.sum() < n):
+            continue
+        X = np.column_stack([np.ones(n), arm, x])
+        if logistic_fit(X, y.astype(np.float64)).converged:
+            return covariate_frame(arm, y, x)
+
+
+def cold_wald_p(X, y):
+    """Arm p-value of a fresh logistic fit; NaN where the fit is unusable."""
+    try:
+        return wald_p(logistic_fit(X, y), 1)
+    except UnconvergedFitError:
+        return math.nan
 
 
 def nhefs_path():

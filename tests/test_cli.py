@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import NEAR_SEPARATED
 from fragility.cases import empirical_modifier, frame_from_table
 from fragility.cli import emit_report, main
 from fragility.stats import Table2x2, fisher_test
@@ -80,6 +81,21 @@ def test_gfi_q0_matches_fi_from_csv(capsys, tmp_path):
     rc_gfi, rep_gfi, _ = run_json(capsys, "gfi", *common, "--q", "0")
     assert rc_fi == rc_gfi == 0
     assert rep_fi["result"] == rep_gfi["result"] == -7
+
+
+def test_gfi_covariate_frame_near_separation(capsys, tmp_path):
+    # warm-started refits of some flips run away here; their cold fits do
+    # not, and ranking every candidate by its cold fit gives -5
+    path = tmp_path / "cases.csv"
+    rows = ["arm,outcome,x"] + [
+        f"arm{a},{'event' if o else 'none'},{x}"
+        for a, o, x in zip(*NEAR_SEPARATED.values())
+    ]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rc, report, _ = run_json(capsys, "gfi", "--csv", str(path), "--arm", "arm",
+                             "--outcome", "outcome", "--covariates", "x")
+    assert rc == 0
+    assert report["result"] == -5
 
 
 def test_gfi_unbounded_above_incidence_boundary(capsys):

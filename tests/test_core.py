@@ -14,7 +14,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from conftest import ALPHA, TABLE3, reversing_shifts, scipy_p
+from conftest import (
+    ALPHA,
+    NEAR_SEPARATED,
+    TABLE3,
+    cold_wald_p,
+    covariate_frame,
+    random_covariate_frame,
+    reversing_shifts,
+    scipy_p,
+)
 from fragility._kernels import log_factorials, reversal_grid
 from fragility.cases import (
     ModificationPlan,
@@ -35,8 +44,8 @@ from fragility.core import (
     reversible,
     reversible_2x2_exact,
 )
-from fragility.errors import InvalidParameterError
-from fragility.stats import Table2x2
+from fragility.errors import InvalidParameterError, UnconvergedFitError
+from fragility.stats import Table2x2, logistic_fit, logistic_wald_test, wald_p
 
 
 def oracle_fi(a, b, c, d, alpha=ALPHA):
@@ -221,6 +230,65 @@ def test_gfi_rejects_foreign_modifier(frame3, frame2, fisher05):
     mod = empirical_modifier(frame2, 0.0)
     with pytest.raises(InvalidParameterError):
         gfi_greedy(frame3, mod, fisher05)
+
+
+def cold_greedy(frame, modifier, restriction=None):
+    """The greedy logistic search ranked by a cold fit of every candidate
+    flip: the largest p when significant, else the smallest, ties to the
+    lowest case id; unusable fits are skipped. Returns (index, entries),
+    or "unconverged" where the search cannot go on."""
+    X = np.column_stack([np.ones(frame.n), frame.arm_codes, frame.covariates["x"]])
+    y = frame.outcome_codes.astype(np.float64)
+    try:
+        sig0 = wald_p(logistic_fit(X, y), 1) < ALPHA
+    except UnconvergedFitError:
+        return "unconverged"
+    ok = np.ones(frame.n, dtype=bool)
+    if restriction is not None:
+        ok[:] = False
+        ok[list(restriction)] = True
+    ok &= modifier.permitted_matrix()[np.arange(frame.n), 1 - frame.outcome_codes]
+    entries = []
+    for step in range(1, frame.n + 1):
+        cands = []
+        for r in np.flatnonzero(ok):
+            y2 = y.copy()
+            y2[r] = 1.0 - y2[r]
+            cands.append((cold_wald_p(X, y2), int(frame.case_ids[r]), r))
+        usable = [(-p if sig0 else p, cid, r) for p, cid, r in cands if not np.isnan(p)]
+        if not usable:
+            return "unconverged" if cands else (UNBOUNDED, ())
+        _, cid, r = min(usable)
+        y[r] = 1.0 - y[r]
+        ok[r] = False
+        entries.append((cid, frame.outcome_levels[int(y[r])]))
+        try:
+            if (wald_p(logistic_fit(X, y), 1) < ALPHA) != sig0:
+                return (step if sig0 else -step), tuple(entries)
+        except UnconvergedFitError:
+            return "unconverged"
+    return UNBOUNDED, ()
+
+
+@pytest.mark.parametrize("seed", [None, *range(12)])
+@pytest.mark.parametrize("case", ["all", "restricted", "q"])
+def test_logistic_gfi_matches_cold_fit_ranking(seed, case):
+    """The batched single-flip refits pick the plan a cold fit of every
+    candidate would, with no restriction, under a restriction to every
+    other case, and at q = 0.3. seed None is NEAR_SEPARATED."""
+    if seed is None:
+        frame = covariate_frame(**NEAR_SEPARATED)
+    else:
+        frame = random_covariate_frame(seed, 12, 40)
+    modifier = empirical_modifier(frame, 0.3 if case == "q" else 0.0)
+    restriction = range(0, frame.n, 2) if case == "restricted" else None
+    want = cold_greedy(frame, modifier, restriction)
+    try:
+        res = gfi_greedy(frame, modifier, logistic_wald_test(("x",)), restriction)
+        got = (res.index, res.plan.entries)
+    except UnconvergedFitError:
+        got = "unconverged"
+    assert got == want
 
 
 @settings(max_examples=20, deadline=None)

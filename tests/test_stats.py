@@ -11,6 +11,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from conftest import NEAR_SEPARATED, cold_wald_p, covariate_frame, random_covariate_frame
 from fragility.errors import (
     InvalidParameterError,
     SingularDesignError,
@@ -240,3 +241,30 @@ def test_logistic_spec_on_frame(frame3):
     assert spec.p_value(frame3) == pytest.approx(wald_p(fit, 1), rel=1e-9)
     # unadjusted Wald agrees with Fisher to well under the usual cutoffs
     assert abs(spec.p_value(frame3) - fisher_exact_two_sided(Table2x2(102, 326, 216, 985))) < 0.01
+
+
+@pytest.mark.parametrize("seed", [None, *range(32)])
+def test_batched_flips_match_cold_fits(seed):
+    """The greedy search's batched single-flip refits against a cold fit of
+    each flipped outcome vector: NaN exactly where that fit is unusable, and
+    1e-6 relative where its log odds stay within 15 (nearer separation the
+    likelihood is too flat for two solvers to agree that closely). seed
+    None is NEAR_SEPARATED, whose warm-started refits of some flips run
+    away while their cold fits converge; seed 30 has a flip whose cold fit
+    runs just past |eta| = 30 while a warm-started refit stops short."""
+    if seed is None:
+        frame = covariate_frame(**NEAR_SEPARATED)
+    else:
+        frame = random_covariate_frame(seed, 8, 24)
+    ev = logistic_wald_test(("x",)).make_fast_eval(frame)
+    y = frame.outcome_codes.astype(np.float64)
+    ev.refit(y)
+    got = ev.p_after_flips(y, np.arange(frame.n))
+    for r in range(frame.n):
+        y2 = y.copy()
+        y2[r] = 1.0 - y2[r]
+        want = cold_wald_p(ev.X, y2)
+        assert np.isnan(got[r]) == np.isnan(want), r
+        eta = ev.X @ logistic_fit(ev.X, y2).coefficients
+        if not np.isnan(want) and np.max(np.abs(eta)) <= 15.0:
+            assert got[r] == pytest.approx(want, rel=1e-6), r
