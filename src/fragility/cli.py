@@ -13,8 +13,8 @@ shortest round-trip repr, so parsing the emitted text reproduces every
 value exactly.
 
 Exit codes: 0 success (an UNBOUNDED result is a legitimate answer),
-2 bad input, 3 computation diagnostics (non-convergence, failed
-confirmation walk).
+2 bad input, 3 computation diagnostics (non-convergence, a confirmation
+search that cannot bracket r).
 """
 
 from __future__ import annotations

@@ -116,6 +116,9 @@ class _TableReversal:
         self.table = table
         self.alpha = float(alpha)
         self.perms = tuple(bool(x) for x in perms)
+        # a composition (k1, k2, k3, k4) permits shifts -k1 <= i <= k2 and
+        # -k3 <= j <= k4; unpermitted cells contribute no extent
+        self._ext_sign = np.array([-1, 1, -1, 1]) * np.asarray(self.perms)
         if not kernel and table_p is None:
             raise InvalidParameterError("generic context needs a table_p callable")
         self.kernel = kernel
@@ -170,6 +173,7 @@ class _TableReversal:
         self.grid = grid
         self.prefix = prefix_sums(grid)
         self.gi_lo, self.gj_lo = gi_lo, gj_lo
+        self._ext_offset = np.array([gi_lo, gi_lo, gj_lo, gj_lo])
         self._K = K
 
     def ensure_full(self) -> None:
@@ -182,9 +186,8 @@ class _TableReversal:
         member at most once and only in permitted directions?"""
         comps = np.asarray(comps, dtype=np.int64)
         self.ensure(int(comps.max()))
-        # the permitted-shift rectangle of each row: -k1 <= i <= k2, -k3 <= j <= k4
-        ext = comps * (np.array([-1, 1, -1, 1]) * np.asarray(self.perms))
-        ext -= np.array([self.gi_lo, self.gi_lo, self.gj_lo, self.gj_lo])
+        # the permitted-shift rectangle of each row, in grid coordinates
+        ext = comps * self._ext_sign - self._ext_offset
         return rect_counts(self.prefix, ext[:, 0], ext[:, 1], ext[:, 2], ext[:, 3]) > 0
 
     def comp_reversible(self, comp: tuple[int, int, int, int]) -> bool:
@@ -412,7 +415,11 @@ def gfi_greedy(
                         continue
                     y2 = np.array(y)
                     y2[r] = m
-                    p = test.p_value(frame.replace_outcomes(y2))
+                    try:
+                        p = test.p_value(frame.replace_outcomes(y2))
+                    except UnconvergedFitError:
+                        # unusable, as in the batched branch: skipped below
+                        p = math.nan
                     cands.append(
                         (float(p), int(frame.case_ids[r]), levels[m], int(r), int(m))
                     )

@@ -371,6 +371,10 @@ class _LogisticFlipEval:
         self.XX = (self.X[:, :, None] * self.X[:, None, :]).reshape(self.n, -1)
         self._ridge = 1e-12 * np.eye(self.p)
         self._base_beta = np.zeros(self.p)
+        # do two cases share a design row? If not (the usual case with a
+        # continuous covariate), p_after_flips skips grouping its candidates
+        by_row = self.X[np.lexsort(self.X.T)]
+        self._twins = bool(np.any(np.all(by_row[1:] == by_row[:-1], axis=1)))
 
     def _info(self, w: np.ndarray) -> np.ndarray:
         """Information X^T diag(w_j) X for each row w_j of w, plus the ridge."""
@@ -386,7 +390,23 @@ class _LogisticFlipEval:
     def p_after_flips(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Wald p of the arm coefficient after flipping outcome y[r] for each
         candidate row r (one at a time). NaN marks a refit that does not
-        converge."""
+        converge. Candidates with the same covariates and outcome have the
+        same refit: the first of them is evaluated and its p copied, so
+        they tie exactly."""
+        if not self._twins:
+            return self._p_distinct(y, rows)
+        m = rows.size
+        _, first, inverse = np.unique(
+            np.column_stack([self.X[rows], y[rows]]), axis=0,
+            return_index=True, return_inverse=True,
+        )
+        rep = first[inverse.reshape(-1)]  # each candidate's first twin
+        distinct = np.flatnonzero(rep == np.arange(m))
+        out = np.empty(m)
+        out[distinct] = self._p_distinct(y, rows[distinct])
+        return out[rep]
+
+    def _p_distinct(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
         X, m = self.X, rows.size
         beta = np.repeat(self._base_beta[None, :], m, axis=0)
         info = np.empty((m, self.p, self.p))

@@ -4,7 +4,8 @@ SGFI_{r,q} is the smallest k such that a uniformly random k-subset of cases
 admits permitted modifications reversing the decision with probability
 exceeding r. probability_reversal estimates that probability by Monte
 Carlo; sgfi finds the crossing by Polyak-Ruppert averaged stochastic
-approximation plus a +-1 confirmation walk; exact_sfi_2x2 computes the
+approximation, then confirms it by galloping from the rounded average
+until r is bracketed and bisecting the bracket; exact_sfi_2x2 computes the
 probabilities exactly on exchangeable 2x2 tables by summing multivariate
 hypergeometric masses of reversible compositions.
 
@@ -158,6 +159,45 @@ def _derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+class _ReversalSampler:
+    """Monte Carlo estimates of P[a uniform k-subset admits a permitted
+    reversal] for one (frame, modifier, test).
+
+    Exchangeable instances draw all trials' cell compositions at once and
+    answer them with one lookup in the exact rectangle oracle (`ctx`);
+    general instances sample case subsets and run the restricted greedy
+    search. The context and cell counts are set up once, so each estimate
+    pays only for its draws.
+    """
+
+    def __init__(self, frame: CaseFrame, modifier: Modifier, test: TestSpec):
+        self.frame, self.modifier, self.test = frame, modifier, test
+        self.ctx = None
+        if _exchangeable(frame, modifier, test):
+            self.ctx = _context_for(
+                table_from_frame(frame), test, _modifier_cell_perms(modifier)
+            )
+            self.colors = np.bincount(_frame_cell_codes(frame), minlength=4)
+
+    def estimate(self, k: int, trials: int, seed: int) -> ReversalEstimate:
+        """Every trial draws from one generator seeded by `seed`."""
+        rng = np.random.default_rng(seed)
+        if self.ctx is not None:
+            comps = rng.multivariate_hypergeometric(self.colors, k, size=trials)
+            hits = int(np.count_nonzero(self.ctx.comps_reversible(comps)))
+        else:
+            frame = self.frame
+            hits = 0
+            for _ in range(trials):
+                sub = frame.case_ids[np.sort(rng.choice(frame.n, size=k, replace=False))]
+                hits += not is_unbounded(
+                    gfi_greedy(frame, self.modifier, self.test, restriction=sub).index
+                )
+        return ReversalEstimate(
+            k=k, p_hat=hits / trials, trials=trials, reversals=hits, seed=seed
+        )
+
+
 def probability_reversal(
     k: int,
     frame: CaseFrame,
@@ -183,40 +223,19 @@ def probability_reversal(
         raise InvalidParameterError("trials must be >= 1")
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
-
-    rng = np.random.default_rng(seed)
-    if _exchangeable(frame, modifier, test):
-        ctx = _context_for(
-            table_from_frame(frame), test, _modifier_cell_perms(modifier)
-        )
-        colors = np.bincount(_frame_cell_codes(frame), minlength=4)
-        comps = rng.multivariate_hypergeometric(colors, k, size=trials)
-        hits = int(np.count_nonzero(ctx.comps_reversible(comps)))
-    else:
-        ids = frame.case_ids
-        hits = 0
-        for _ in range(trials):
-            sub = ids[np.sort(rng.choice(frame.n, size=k, replace=False))]
-            hits += not is_unbounded(gfi_greedy(frame, modifier, test, restriction=sub).index)
-
-    return ReversalEstimate(
-        k=k, p_hat=hits / trials, trials=trials, reversals=hits, seed=seed
-    )
+    return _ReversalSampler(frame, modifier, test).estimate(k, trials, seed)
 
 
-def _deterministic_index(frame: CaseFrame, modifier: Modifier, test: TestSpec) -> int:
+def _deterministic_index(sampler: _ReversalSampler) -> int:
     """Size of the package's deterministic minimal reversal: the exact
     permitted minimum on exchangeable instances, the greedy count
     otherwise. Caller guarantees the full frame is reversible."""
-    if _exchangeable(frame, modifier, test):
-        ctx = _context_for(
-            table_from_frame(frame), test, _modifier_cell_perms(modifier)
-        )
-        found = ctx.min_cost()
+    if sampler.ctx is not None:
+        found = sampler.ctx.min_cost()
         if found is None:  # pragma: no cover - contradicts reversibility
             raise DiagnosticError("reversible frame has no minimal reversal")
         return found[0]
-    res = gfi_greedy(frame, modifier, test)
+    res = gfi_greedy(sampler.frame, sampler.modifier, sampler.test)
     if is_unbounded(res.index):  # pragma: no cover - contradicts reversibility
         raise DiagnosticError("reversible frame defeated the greedy search")
     return abs(res.index)
@@ -289,6 +308,43 @@ def _worst_case_exchangeable(ctx, table: Table2x2, perms) -> int:
     return base + best
 
 
+def _bracket_crossing(p, r: float, start: int, n: int) -> Optional[int]:
+    """A k in [1, n] with p(k) > r >= p(k - 1), p(0) being 0; None when
+    p(n) <= r.
+
+    From `start` (in [1, n]) the search gallops, probing start -+ 1, 2, 4,
+    ... until r is bracketed, then bisects the bracket. On any p the answer
+    meets the bracket condition; on a monotone p it is the crossing, found
+    with at most 2 * ceil(log2 n) + 1 calls of p, none at 0 and none twice.
+    """
+
+    def above(k: int) -> bool:
+        return k > 0 and p(k) > r
+
+    step = 1
+    if above(start):
+        hi, lo = start, max(start - 1, 0)
+        while above(lo):
+            hi, step = lo, 2 * step
+            lo = max(start - step, 0)
+    else:
+        lo = start
+        while True:
+            if lo >= n:
+                return None
+            hi = min(start + step, n)
+            if above(hi):
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def sgfi(
     frame: CaseFrame,
     modifier: Modifier,
@@ -299,9 +355,11 @@ def sgfi(
 
     Finds the root of P[reversal by a uniform k-subset] - r by averaged
     stochastic approximation (k_{t+1} = clamp(k_t - a_t (p_hat - r), 1, n)
-    with a_t = a0 / t^gamma), then walks the rounded Polyak average by +-1
-    steps under confirm_factor-times-larger estimates until
-    p_hat(k) > r >= p_hat(k-1).
+    with a_t = a0 / t^gamma), then confirms it under confirm_factor-times-
+    larger estimates: from the rounded Polyak average it gallops (+-1, 2,
+    4, ...) until r is bracketed and bisects the bracket, ending where
+    p_hat(k) > r >= p_hat(k-1). Each confirmation estimate is seeded by its
+    k alone, so the search makes O(log n) of them.
 
     r = 0 (or r below the smallest achievable positive subset probability)
     reduces to the deterministic index; r = "1-" asks for the smallest k
@@ -333,7 +391,8 @@ def sgfi(
         return result(k if sig0 else -k)
 
     r = float(config.r)
-    det = _deterministic_index(frame, modifier, test)
+    sampler = _ReversalSampler(frame, modifier, test)
+    det = _deterministic_index(sampler)
     # below the probability of hitting one specific det-sized subset, the
     # crossing provably sits at the deterministic index
     if r == 0.0 or math.log(r) < -_lchoose(n, det):
@@ -346,11 +405,7 @@ def sgfi(
     traj: list[SgfiIteration] = []
     for t in range(1, config.iterations + 1):
         k_eval = int(min(max(round(k_real), 1), n))
-        est = probability_reversal(
-            k_eval, frame, modifier, test,
-            trials=config.trials,
-            seed=_derive_seed(config.seed, 1, t),
-        )
+        est = sampler.estimate(k_eval, config.trials, _derive_seed(config.seed, 1, t))
         step = (a0 / t**config.gamma) * (est.p_hat - r)
         k_real = min(max(k_real - step, 1.0), float(n))
         traj.append(SgfiIteration(step=t, k_eval=k_eval, p_hat=est.p_hat, k_next=k_real))
@@ -361,55 +416,36 @@ def sgfi(
     k_hat = int(min(max(round(polyak), 1), n))
 
     conf_trials = config.trials * config.confirm_factor
+    confirmed: dict[int, ReversalEstimate] = {}
 
     def confirm(kk: int) -> ReversalEstimate:
-        if kk <= 0:
-            # an empty subset never reverses; exact, no sampling needed
-            return ReversalEstimate(
-                k=0, p_hat=0.0, trials=conf_trials, reversals=0,
-                seed=_derive_seed(config.seed, 2, 0),
+        if kk not in confirmed:
+            confirmed[kk] = sampler.estimate(
+                kk, conf_trials, _derive_seed(config.seed, 2, kk)
             )
-        return probability_reversal(
-            kk, frame, modifier, test,
-            trials=conf_trials,
-            seed=_derive_seed(config.seed, 2, kk),
-        )
+        return confirmed[kk]
 
-    walk_guard = config.iterations
-    steps = 0
-    est_at = confirm(k_hat)
-    if est_at.p_hat > r:
+    k_hat = _bracket_crossing(lambda kk: confirm(kk).p_hat, r, k_hat, n)
+    if k_hat is None:  # pragma: no cover - p_hat(n) is 1 on a reversible frame
+        raise DiagnosticError(
+            f"confirmation search failed to bracket r={r}: p_hat({n}) <= r "
+            f"after {len(confirmed)} estimates",
+            trajectory=tuple(traj),
+        )
+    if k_hat > 1:
         below = confirm(k_hat - 1)
-        while k_hat > 1 and below.p_hat > r:
-            steps += 1
-            if steps > walk_guard:
-                raise DiagnosticError(
-                    f"confirmation walk failed to bracket r={r} within "
-                    f"{walk_guard} steps",
-                    trajectory=tuple(traj),
-                )
-            k_hat -= 1
-            est_at = below
-            below = confirm(k_hat - 1)
     else:
-        below = est_at
-        while est_at.p_hat <= r:
-            steps += 1
-            if steps > walk_guard or k_hat >= n:
-                raise DiagnosticError(
-                    f"confirmation walk failed to bracket r={r} within "
-                    f"{walk_guard} steps",
-                    trajectory=tuple(traj),
-                )
-            below = est_at
-            k_hat += 1
-            est_at = confirm(k_hat)
+        # an empty subset never reverses; exact, no sampling needed
+        below = ReversalEstimate(
+            k=0, p_hat=0.0, trials=conf_trials, reversals=0,
+            seed=_derive_seed(config.seed, 2, 0),
+        )
 
     return result(
         k_hat if sig0 else -k_hat,
         polyak=polyak,
         traj=traj,
-        at=est_at,
+        at=confirm(k_hat),
         below=below,
     )
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import NEAR_SEPARATED
+from fragility import cli
 from fragility.cases import empirical_modifier, frame_from_table
 from fragility.cli import emit_report, main
+from fragility.errors import DiagnosticError
 from fragility.stats import Table2x2, fisher_test
-from fragility.stochastic import SgfiConfig, exact_sfi_2x2, sgfi
+from fragility.stochastic import SgfiConfig, SgfiIteration, exact_sfi_2x2, sgfi
 
 T3 = "102,326,216,985"
 T2 = "20,380,15,385"
@@ -285,8 +287,26 @@ def test_input_errors_exit_2(capsys, argv):
 # --- exit code 3: diagnostics ---------------------------------------------------
 
 
+def test_sgfi_high_r_is_bracketed(capsys):
+    # the Polyak mean overshoots the crossing by about 200 here; the
+    # confirmation search still ends next to it
+    rc, report, _ = run_json(capsys, "sgfi", "--table", T3, "--r", "0.9", "-T", "20", "-B", "50")
+    assert rc == 0
+    assert report["polyak_mean"] > 100
+    table = Table2x2(102, 326, 216, 985)
+    mod = empirical_modifier(frame_from_table(table), 0.0)
+    exact = exact_sfi_2x2(table, mod, fisher_test(), r=0.9).index
+    assert abs(report["result"] - exact) <= 1
+
+
 @pytest.mark.parametrize("json_out", [False, True], ids=["human", "json"])
-def test_unreachable_level_is_a_diagnostic(capsys, json_out):
+def test_unreachable_level_is_a_diagnostic(capsys, monkeypatch, json_out):
+    steps = tuple(SgfiIteration(step=t, k_eval=30, p_hat=0.5, k_next=30.0) for t in range(1, 21))
+
+    def unbracketed(*args, **kwargs):
+        raise DiagnosticError("confirmation search failed to bracket r=0.9", trajectory=steps)
+
+    monkeypatch.setattr(cli, "sgfi", unbracketed)
     argv = ["sgfi", "--table", T3, "--r", "0.9", "-T", "20", "-B", "50"]
     if json_out:
         argv += ["--json", "-"]
@@ -295,7 +315,7 @@ def test_unreachable_level_is_a_diagnostic(capsys, json_out):
     assert "error:" in err
     assert "trajectory tail:" in err
     # the steps stay on stderr when --json - silences the human lines
-    assert any(ln.lstrip().startswith("step ") for ln in err.splitlines())
+    assert sum(ln.lstrip().startswith("step ") for ln in err.splitlines()) == 8
     assert "-T or -B" in err
     if json_out:
         assert out == ""

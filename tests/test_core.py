@@ -6,6 +6,7 @@ subset reversibility is checked the same way over composition-bounded
 shifts.
 """
 
+import dataclasses
 import itertools
 import pickle
 
@@ -289,6 +290,36 @@ def test_logistic_gfi_matches_cold_fit_ranking(seed, case):
     except UnconvergedFitError:
         got = "unconverged"
     assert got == want
+
+
+# seeds from 9 on are frames where one candidate's cold fit separates
+@pytest.mark.parametrize("seed", [0, 1, 9, 23, 27, 30, 34, 35, 37])
+def test_generic_greedy_branch_matches_batched(seed):
+    """A test without make_fast_eval scores each candidate by p_value; a
+    candidate whose fit does not converge is skipped, as the batched
+    branch skips it, so both branches give the same result."""
+    frame = random_covariate_frame(seed, 10, 60)
+    modifier = empirical_modifier(frame, 0.0)
+    batched = logistic_wald_test(("x",))
+    generic = dataclasses.replace(batched, make_fast_eval=None)
+    assert gfi_greedy(frame, modifier, generic) == gfi_greedy(frame, modifier, batched)
+
+
+@pytest.mark.parametrize("seed", [2, 9, 15])
+def test_logistic_gfi_ties_identical_cases_to_lowest_id(seed):
+    """Every case appears twice (ids i and i + 20) with the same arm,
+    covariate and outcome; a twin's flip is never taken before the
+    lower-id twin's."""
+    rng = np.random.default_rng(seed)
+    arm = rng.integers(0, 2, 20)
+    x = np.round(rng.normal(size=20), 3)
+    y = (rng.uniform(size=20) < 1 / (1 + np.exp(1 - 1.5 * arm - 0.8 * x))).astype(int)
+    frame = covariate_frame(np.tile(arm, 2), np.tile(y, 2), np.tile(x, 2))
+    res = gfi_greedy(frame, empirical_modifier(frame, 0.0), logistic_wald_test(("x",)))
+    ids = res.plan.case_ids
+    assert ids
+    for pos, cid in enumerate(ids):
+        assert cid < 20 or cid - 20 in ids[:pos]
 
 
 @settings(max_examples=20, deadline=None)

@@ -10,6 +10,8 @@ and everything is summed as Fractions.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from conftest import ALPHA, ORACLE_KMAX, oracle_crossing, scipy_p
 from fragility.cases import Modifier, empirical_modifier, frame_from_table
@@ -19,6 +21,7 @@ from fragility.repro import _exact_prob_reversal
 from fragility.stats import Table2x2
 from fragility.stochastic import (
     SgfiConfig,
+    _bracket_crossing,
     exact_sfi_2x2,
     probability_reversal,
     sgfi,
@@ -148,6 +151,58 @@ def test_sgfi_crossing_below_default_r(frame3, mod0, fisher05):
     res = sgfi(frame3, mod0, fisher05, SgfiConfig(r=0.25, seed=0))
     assert res.index == 19
     assert res.final_at.p_hat > 0.25 >= res.final_below.p_hat
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sgfi_brackets_high_r(frame3, mod0, fisher05, seed):
+    # the Polyak mean overshoots the exact crossing 26 by about 130 here:
+    # the confirmation search still ends on a bracket next to it
+    res = sgfi(frame3, mod0, fisher05, SgfiConfig(r=0.9, seed=seed))
+    assert res.polyak_mean > 100
+    assert abs(res.index - 26) <= 1
+    assert res.final_at.k == res.index and res.final_below.k == res.index - 1
+    assert res.final_at.p_hat > 0.9 >= res.final_below.p_hat
+
+
+def counted(values):
+    """p(k) = values[k - 1], recording each k asked for."""
+    calls = []
+
+    def p(k):
+        calls.append(k)
+        return values[k - 1]
+
+    return p, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data(), n=hst.integers(1, 5000))
+def test_bracket_search_finds_a_monotone_crossing(data, n):
+    t = data.draw(hst.integers(1, n + 1), label="crossing")  # n + 1: none
+    start = data.draw(hst.integers(1, n), label="start")
+    p, calls = counted([float(k >= t) for k in range(1, n + 1)])
+    got = _bracket_crossing(p, 0.5, start, n)
+    assert got == (t if t <= n else None)
+    assert 0 not in calls and len(set(calls)) == len(calls)
+    assert len(calls) <= 2 * math.ceil(math.log2(n)) + 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=hst.lists(hst.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), min_size=1, max_size=300),
+    data=hst.data(),
+)
+def test_bracket_search_brackets_any_curve(values, data):
+    n = len(values)
+    start = data.draw(hst.integers(1, n), label="start")
+    p, calls = counted(values)
+    got = _bracket_crossing(p, 0.5, start, n)
+    assert 0 not in calls and len(set(calls)) == len(calls)
+    if got is None:
+        assert values[-1] <= 0.5
+    else:
+        below = values[got - 2] if got > 1 else 0.0
+        assert values[got - 1] > 0.5 >= below
 
 
 def test_sgfi_deterministic_across_threads_and_reruns(frame3, mod0, fisher05):
