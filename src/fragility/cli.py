@@ -13,8 +13,8 @@ shortest round-trip repr, so parsing the emitted text reproduces every
 value exactly.
 
 Exit codes: 0 success (an UNBOUNDED result is a legitimate answer),
-2 bad input, 3 computation diagnostics (non-convergence, a confirmation
-search that cannot bracket r).
+2 bad input, 3 computation diagnostics (non-convergence, or a
+confirmation search that cannot bracket r because p_hat(n) <= r).
 """
 
 from __future__ import annotations
@@ -585,7 +585,8 @@ def main(argv=None) -> int:
             for it in trajectory[-8:]:
                 print(f"  step {it.step}: k_eval={it.k_eval} p_hat={it.p_hat:.4g} "
                       f"k_next={it.k_next:.2f}", file=sys.stderr)
-            print("a larger -T or -B usually stabilizes the search", file=sys.stderr)
+            print("the search stopped because p_hat(n) <= r, which points to "
+                  "an inconsistent frame or test", file=sys.stderr)
         return 3
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

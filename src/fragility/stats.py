@@ -371,10 +371,13 @@ class _LogisticFlipEval:
         self.XX = (self.X[:, :, None] * self.X[:, None, :]).reshape(self.n, -1)
         self._ridge = 1e-12 * np.eye(self.p)
         self._base_beta = np.zeros(self.p)
-        # do two cases share a design row? If not (the usual case with a
-        # continuous covariate), p_after_flips skips grouping its candidates
-        by_row = self.X[np.lexsort(self.X.T)]
-        self._twins = bool(np.any(np.all(by_row[1:] == by_row[:-1], axis=1)))
+        # cases with equal design rows share a group id (a lexsort: every
+        # greedy search builds one of these, and np.unique(axis=0) costs
+        # ten times as much)
+        order = np.lexsort(self.X.T)
+        new_row = np.any(np.diff(self.X[order], axis=0) != 0, axis=1)
+        self._row_group = np.empty(self.n, dtype=np.int64)
+        self._row_group[order] = np.concatenate(([0], np.cumsum(new_row)))
 
     def _info(self, w: np.ndarray) -> np.ndarray:
         """Information X^T diag(w_j) X for each row w_j of w, plus the ridge."""
@@ -393,14 +396,10 @@ class _LogisticFlipEval:
         converge. Candidates with the same covariates and outcome have the
         same refit: the first of them is evaluated and its p copied, so
         they tie exactly."""
-        if not self._twins:
-            return self._p_distinct(y, rows)
         m = rows.size
-        _, first, inverse = np.unique(
-            np.column_stack([self.X[rows], y[rows]]), axis=0,
-            return_index=True, return_inverse=True,
-        )
-        rep = first[inverse.reshape(-1)]  # each candidate's first twin
+        key = 2 * self._row_group[rows] + y[rows].astype(np.int64)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        rep = first[inverse]  # each candidate's first twin
         distinct = np.flatnonzero(rep == np.arange(m))
         out = np.empty(m)
         out[distinct] = self._p_distinct(y, rows[distinct])

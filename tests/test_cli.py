@@ -288,11 +288,10 @@ def test_input_errors_exit_2(capsys, argv):
 
 
 def test_sgfi_high_r_is_bracketed(capsys):
-    # the Polyak mean overshoots the crossing by about 200 here; the
-    # confirmation search still ends next to it
+    # the confirmation search ends next to the exact crossing, wherever
+    # the Polyak mean lands
     rc, report, _ = run_json(capsys, "sgfi", "--table", T3, "--r", "0.9", "-T", "20", "-B", "50")
     assert rc == 0
-    assert report["polyak_mean"] > 100
     table = Table2x2(102, 326, 216, 985)
     mod = empirical_modifier(frame_from_table(table), 0.0)
     exact = exact_sfi_2x2(table, mod, fisher_test(), r=0.9).index
@@ -304,7 +303,9 @@ def test_unreachable_level_is_a_diagnostic(capsys, monkeypatch, json_out):
     steps = tuple(SgfiIteration(step=t, k_eval=30, p_hat=0.5, k_next=30.0) for t in range(1, 21))
 
     def unbracketed(*args, **kwargs):
-        raise DiagnosticError("confirmation search failed to bracket r=0.9", trajectory=steps)
+        raise DiagnosticError(
+            "confirmation search failed to bracket r=0.9: p_hat(1629) <= r", trajectory=steps
+        )
 
     monkeypatch.setattr(cli, "sgfi", unbracketed)
     argv = ["sgfi", "--table", T3, "--r", "0.9", "-T", "20", "-B", "50"]
@@ -316,7 +317,7 @@ def test_unreachable_level_is_a_diagnostic(capsys, monkeypatch, json_out):
     assert "trajectory tail:" in err
     # the steps stay on stderr when --json - silences the human lines
     assert sum(ln.lstrip().startswith("step ") for ln in err.splitlines()) == 8
-    assert "-T or -B" in err
+    assert "p_hat(n) <= r" in err
     if json_out:
         assert out == ""
 

@@ -155,10 +155,9 @@ def test_sgfi_crossing_below_default_r(frame3, mod0, fisher05):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sgfi_brackets_high_r(frame3, mod0, fisher05, seed):
-    # the Polyak mean overshoots the exact crossing 26 by about 130 here:
-    # the confirmation search still ends on a bracket next to it
+    # the confirmation search ends on a bracket next to the exact crossing
+    # 26, wherever the Polyak mean lands
     res = sgfi(frame3, mod0, fisher05, SgfiConfig(r=0.9, seed=seed))
-    assert res.polyak_mean > 100
     assert abs(res.index - 26) <= 1
     assert res.final_at.k == res.index and res.final_below.k == res.index - 1
     assert res.final_at.p_hat > 0.9 >= res.final_below.p_hat
