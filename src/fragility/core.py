@@ -95,14 +95,21 @@ class FragilityResult:
 # ----------------------------------------------------------------------
 
 
+_UNSET = object()  # min_cost not computed yet
+
+
 class _TableReversal:
     """Reversal geometry of a 2x2 table under net event shifts.
 
     Lazily builds a boolean grid over shifts (i, j) -- restricted to the
     per-cell permitted directions -- marking where the test decision flips,
     plus 2D prefix sums so "does this shift rectangle contain a reversal?"
-    is O(1). Windows grow by doubling, so total work is at most twice the
-    final grid.
+    is O(1). The grid covers a window of at most K shifts per direction.
+    It grows only when an answer needs it: a composition lookup whose
+    clipped rectangle misses while a permitted extent exceeds K, a
+    min_cost whose best hit costs more than K, prob_reversal(k) with k > K,
+    or ensure_full. Windows grow by doubling, so total work is at most
+    twice the final grid.
     """
 
     def __init__(
@@ -123,6 +130,7 @@ class _TableReversal:
             raise InvalidParameterError("generic context needs a table_p callable")
         self.kernel = kernel
         self._table_p = table_p
+        self._max_cell = max(table.as_tuple())
         self.lf = log_factorials(table.n)
         self.p0 = self.p_of_shift(0, 0)
         self.sig0 = self.p0 < self.alpha
@@ -130,6 +138,7 @@ class _TableReversal:
         self.grid: Optional[np.ndarray] = None
         self.prefix: Optional[np.ndarray] = None
         self.gi_lo = self.gj_lo = 0
+        self._min_cost = _UNSET
 
     def p_of_shift(self, i: int, j: int) -> float:
         t = self.table
@@ -173,22 +182,51 @@ class _TableReversal:
         self.grid = grid
         self.prefix = prefix_sums(grid)
         self.gi_lo, self.gj_lo = gi_lo, gj_lo
-        self._ext_offset = np.array([gi_lo, gi_lo, gj_lo, gj_lo])
+        self._win_lo = np.array([gi_lo, gi_lo, gj_lo, gj_lo])
+        self._win_hi = np.array([gi_hi, gi_hi, gj_hi, gj_hi])
         self._K = K
 
     def ensure_full(self) -> None:
-        t = self.table
-        self.ensure(max(t.a, t.b, t.c, t.d))
+        self.ensure(self._max_cell)
 
     def comps_reversible(self, comps) -> np.ndarray:
         """Row by row over an (m, 4) array of cell compositions: can a
         subset with that composition reverse the decision, flipping each
-        member at most once and only in permitted directions?"""
+        member at most once and only in permitted directions?
+
+        Each row's rectangle is looked up clipped to the current window. A
+        hit there is a hit in the full rectangle; a miss is final once the
+        row's largest permitted extent is at most K, since the rectangle
+        then lies inside the window. Only rows left undecided grow it."""
         comps = np.asarray(comps, dtype=np.int64)
-        self.ensure(int(comps.max()))
-        # the permitted-shift rectangle of each row, in grid coordinates
-        ext = comps * self._ext_sign - self._ext_offset
-        return rect_counts(self.prefix, ext[:, 0], ext[:, 1], ext[:, 2], ext[:, 3]) > 0
+        # the permitted-shift rectangle of each row: -k1 <= i <= k2 and
+        # -k3 <= j <= k4, zero extent for unpermitted cells
+        ext = comps * self._ext_sign
+        self.ensure(0)  # a cold context starts from the smallest window
+        if not comps.size or comps.max() <= self._K:
+            # every rectangle lies inside the window
+            return self._window_hits(ext)
+        out = self._window_hits(ext, clip=True)
+        todo = np.nonzero(~out)[0]
+        # past the largest cell the window already spans the whole lattice
+        need = np.minimum(np.abs(ext[todo]).max(axis=1), self._max_cell)
+        while True:
+            undecided = need > self._K
+            todo, need = todo[undecided], need[undecided]
+            if not todo.size:
+                return out
+            self.ensure(int(need.min()))
+            hit = self._window_hits(ext[todo], clip=True)
+            out[todo] = hit
+            todo, need = todo[~hit], need[~hit]
+
+    def _window_hits(self, ext: np.ndarray, clip: bool = False) -> np.ndarray:
+        """Reversals in each signed-extent rectangle, clipped to the window
+        if asked (unclipped rectangles must lie inside it)."""
+        if clip:
+            ext = np.minimum(np.maximum(ext, self._win_lo), self._win_hi)
+        box = ext - self._win_lo
+        return rect_counts(self.prefix, box[:, 0], box[:, 1], box[:, 2], box[:, 3]) > 0
 
     def comp_reversible(self, comp: tuple[int, int, int, int]) -> bool:
         """comps_reversible for one composition."""
@@ -209,24 +247,31 @@ class _TableReversal:
     def min_cost(self) -> Optional[tuple[int, tuple[int, int]]]:
         """Minimum |i|+|j| over permitted reversing shifts, with the
         realizing shift (ties: smallest i, then smallest j); None if the
-        whole permitted lattice contains no reversal."""
-        t = self.table
+        whole permitted lattice contains no reversal. Computed once."""
+        if self._min_cost is _UNSET:
+            self._min_cost = self._find_min_cost()
+        return self._min_cost
+
+    def _find_min_cost(self) -> Optional[tuple[int, tuple[int, int]]]:
         K = 8
         while True:
             self.ensure(K)
             K = self._K
+            whole = K >= self._max_cell
             hit = np.argwhere(self.grid == 1)
             if hit.size:
                 i = hit[:, 0] + self.gi_lo
                 j = hit[:, 1] + self.gj_lo
                 cost = np.abs(i) + np.abs(j)
                 best = int(cost.min())
-                if best <= K:
+                # a cheaper reversal would lie inside the window, and a
+                # window over the whole lattice holds every reversal
+                if best <= K or whole:
                     # argwhere is row-major, so the first minimal-cost hit
                     # already has the smallest (i, j)
                     at = int(np.argmax(cost == best))
                     return best, (int(i[at]), int(j[at]))
-            if K >= max(t.a, t.b, t.c, t.d):
+            if whole:
                 return None
             K *= 2
 

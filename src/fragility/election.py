@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .core import UNBOUNDED, Index, is_unbounded
 from .errors import InvalidParameterError, ParseError, SchemaError
-from .stats import hypergeom_sf
+from .stats import _bracket_crossing, hypergeom_sf
 
 __all__ = [
     "StateTally",
@@ -193,8 +193,9 @@ class ClosedFormSfi:
 def sgfi_half_closed_form(population: int, pool: int, switches: int) -> ClosedFormSfi:
     """Minimal m with P[Hypergeometric(population, pool, m) >= switches] > 1/2.
 
-    Brackets around the initializer and bisects the monotone survival
-    function, evaluated exactly by hypergeom_sf.
+    Gallops from the initializer until the crossing is bracketed, then
+    bisects the monotone survival function, evaluated exactly by
+    hypergeom_sf.
     """
     for name, v in (("population", population), ("pool", pool), ("switches", switches)):
         if not isinstance(v, int) or isinstance(v, bool):
@@ -207,38 +208,15 @@ def sgfi_half_closed_form(population: int, pool: int, switches: int) -> ClosedFo
     approximation = switches * population / pool
     initializer = math.ceil(approximation)
 
-    def above(m: int) -> bool:
-        # exact ties sf = 1/2 (e.g. pool 1, even population) must not count
-        # as crossings just because the tail rounds an ulp high
-        return hypergeom_sf(population, pool, m, switches) > 0.5 + 1e-12
-
-    m0 = min(max(initializer, switches), population)
-    if above(m0):
-        hi = m0
-        lo = m0 - 1
-        step = 1
-        while lo >= switches and above(lo):
-            hi = lo
-            step *= 2
-            lo -= step
-        lo = max(lo, switches - 1)  # sf(m < switches) = 0, a free lower bound
-    else:
-        lo = m0
-        hi = m0 + 1
-        step = 1
-        while not above(hi):
-            lo = hi
-            step *= 2
-            hi = min(hi + step, population)
-            if hi == population:
-                break
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    exact = hi
+    # exact ties sf = 1/2 (e.g. pool 1, even population) must not count as
+    # crossings just because the tail rounds an ulp high; sf(population) is
+    # 1, so the crossing always exists
+    exact = _bracket_crossing(
+        lambda m: hypergeom_sf(population, pool, m, switches),
+        0.5 + 1e-12,
+        min(max(initializer, switches), population),
+        population,
+    )
     return ClosedFormSfi(
         index=exact,
         initializer=initializer,

@@ -1,6 +1,7 @@
 """Hypothesis-test building blocks: 2x2 tables, exact hypergeometric tail
-probabilities, Fisher's exact test, logistic regression with Wald p-values,
-and the TestSpec bundle consumed by the fragility searches.
+probabilities, the crossing search on monotone probability curves, Fisher's
+exact test, logistic regression with Wald p-values, and the TestSpec bundle
+consumed by the fragility searches.
 """
 
 from __future__ import annotations
@@ -135,6 +136,43 @@ def hypergeom_sf(population: int, successes: int, draws: int, threshold: int) ->
     from scipy.stats import hypergeom  # imported on first use: it is slow to load
 
     return float(hypergeom.sf(threshold - 1, population, successes, draws))
+
+
+def _bracket_crossing(p, r: float, start: int, n: int) -> Optional[int]:
+    """A k in [1, n] with p(k) > r >= p(k - 1), p(0) being 0; None when
+    p(n) <= r.
+
+    From `start` (in [1, n]) the search gallops, probing start -+ 1, 2, 4,
+    ... until r is bracketed, then bisects the bracket. On any p the answer
+    meets the bracket condition; on a monotone p it is the crossing, found
+    with at most 2 * ceil(log2 n) + 1 calls of p, none at 0 and none twice.
+    """
+
+    def above(k: int) -> bool:
+        return k > 0 and p(k) > r
+
+    step = 1
+    if above(start):
+        hi, lo = start, max(start - 1, 0)
+        while above(lo):
+            hi, step = lo, 2 * step
+            lo = max(start - step, 0)
+    else:
+        lo = start
+        while True:
+            if lo >= n:
+                return None
+            hi = min(start + step, n)
+            if above(hi):
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @lru_cache(maxsize=64)

@@ -36,7 +36,7 @@ from .core import (
     reversible,
 )
 from .errors import DiagnosticError, InvalidParameterError
-from .stats import Table2x2, TestSpec, _lchoose, is_significant
+from .stats import Table2x2, TestSpec, _bracket_crossing, _lchoose, is_significant
 
 __all__ = [
     "ReversalEstimate",
@@ -308,43 +308,6 @@ def _worst_case_exchangeable(ctx, table: Table2x2, perms) -> int:
     return base + best
 
 
-def _bracket_crossing(p, r: float, start: int, n: int) -> Optional[int]:
-    """A k in [1, n] with p(k) > r >= p(k - 1), p(0) being 0; None when
-    p(n) <= r.
-
-    From `start` (in [1, n]) the search gallops, probing start -+ 1, 2, 4,
-    ... until r is bracketed, then bisects the bracket. On any p the answer
-    meets the bracket condition; on a monotone p it is the crossing, found
-    with at most 2 * ceil(log2 n) + 1 calls of p, none at 0 and none twice.
-    """
-
-    def above(k: int) -> bool:
-        return k > 0 and p(k) > r
-
-    step = 1
-    if above(start):
-        hi, lo = start, max(start - 1, 0)
-        while above(lo):
-            hi, step = lo, 2 * step
-            lo = max(start - step, 0)
-    else:
-        lo = start
-        while True:
-            if lo >= n:
-                return None
-            hi = min(start + step, n)
-            if above(hi):
-                break
-            lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def sgfi(
     frame: CaseFrame,
     modifier: Modifier,
@@ -472,6 +435,12 @@ def exact_sfi_2x2(
         raise InvalidParameterError("modifier was built over a different table")
     ctx = _context_for(table, test, _modifier_cell_perms(modifier))
     p0, sig0 = ctx.p0, ctx.sig0
+    # Held on the full grid: without this line a perfbench trial_sweep
+    # table takes about a tenth of the time, and a run outgrows the fresh
+    # tables make_table can draw (the FOUND entry on
+    # perfbench/workloads.py::make_table in CHANGES.md; ROADMAP item 1).
+    # Delete it once make_table is mended.
+    ctx.ensure_full()
     if not ctx.comp_reversible(cells):
         return ExactSfiResult(UNBOUNDED, None, None, sig0, p0)
     prev = 0.0

@@ -57,6 +57,19 @@ def fisher05():
     return fisher_test(alpha=0.05)
 
 
+@pytest.fixture(scope="session")
+def evict_contexts():
+    """evict(cells) drops every cached reversal context of the table, so the
+    next lookup on it starts from a cold grid."""
+    from fragility.core import _CTX_CACHE
+
+    def evict(cells):
+        for key in [key for key in _CTX_CACHE if key[0] == tuple(cells)]:
+            del _CTX_CACHE[key]
+
+    return evict
+
+
 # --- the exact subset-reversal oracle --------------------------------------------
 #
 # P[a uniform k-subset admits a permitted reversal], rebuilt from first

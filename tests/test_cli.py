@@ -60,6 +60,14 @@ def test_fi_unbounded_is_success(capsys):
     assert "note" in report
 
 
+def test_fi_finds_a_reversal_costlier_than_the_grid_window(capsys):
+    # the whole 17 x 17 lattice fits the first window; its cheapest
+    # reversal costs 13 shifts, more than the window's 8 per direction
+    rc, report, _ = run_json(capsys, "fi", "--table", "8,8,8,8", "--alpha", "1e-5")
+    assert rc == 0
+    assert report["result"] == -13
+
+
 def test_fi_negative_index_note(capsys):
     rc, report, _ = run_json(capsys, "fi", "--table", T2)
     assert rc == 0

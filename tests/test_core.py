@@ -25,7 +25,7 @@ from conftest import (
     reversing_shifts,
     scipy_p,
 )
-from fragility._kernels import log_factorials, reversal_grid
+from fragility._kernels import fisher_p, log_factorials, reversal_grid
 from fragility.cases import (
     ModificationPlan,
     Modifier,
@@ -38,6 +38,7 @@ from fragility.core import (
     UNBOUNDED,
     FragilityResult,
     _context_for,
+    _TableReversal,
     _modifier_cell_perms,
     fi_2x2_exact,
     gfi_greedy,
@@ -149,6 +150,50 @@ def test_fi_matches_shift_enumeration(a, b, c, d, fisher05):
         frame = frame_from_table(Table2x2(a, b, c, d))
         after = table_from_frame(apply_plan(frame, res.plan)).as_tuple()
         assert (scipy_p(*after) < ALPHA) != res.initial_significant
+
+
+def full_grid_min_cost(cells, alpha, perms):
+    """Cheapest permitted reversing shift over the whole lattice, ties to
+    the smallest i, then j; None when no shift reverses."""
+    a, b, c, d = cells
+    pa, pb, pc, pd = perms
+    gi_lo, gj_lo = -a if pa else 0, -c if pc else 0
+    lf = log_factorials(a + b + c + d)
+    sig0 = fisher_p(lf, a, b, c, d) < alpha
+    grid = reversal_grid(
+        lf, a, b, c, d, alpha, int(sig0), gi_lo, b if pb else 0, gj_lo, d if pd else 0
+    )
+    hits = sorted(
+        (abs(x + gi_lo) + abs(y + gj_lo), x + gi_lo, y + gj_lo)
+        for x, y in np.argwhere(grid == 1)
+    )
+    if not hits:
+        return None
+    cost, i, j = hits[0]
+    return int(cost), (int(i), int(j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=hst.tuples(*[hst.integers(0, 12)] * 4),
+    alpha=hst.sampled_from([0.05, 1e-3, 1e-4, 1e-5]),
+    perms=hst.tuples(*[hst.booleans()] * 4),
+)
+# the whole lattice fits the 8-shift window, but the cheapest reversal
+# costs 13 (and 10): more than the window's K
+@example(cells=(8, 8, 8, 8), alpha=1e-5, perms=(True,) * 4)
+@example(cells=(4, 8, 4, 8), alpha=1e-4, perms=(True,) * 4)
+def test_min_cost_matches_full_grid(cells, alpha, perms):
+    assume(sum(cells) > 0)
+    ctx = _TableReversal(Table2x2(*cells), alpha, perms=perms)
+    assert ctx.min_cost() == full_grid_min_cost(cells, alpha, perms)
+
+
+def test_min_cost_is_computed_once(table3, fisher05):
+    ctx = _TableReversal(table3, fisher05.alpha)
+    first = ctx.min_cost()
+    assert first == (6, (-6, 0))
+    assert ctx.min_cost() is first
 
 
 # --- reversal grid --------------------------------------------------------------
@@ -389,11 +434,14 @@ def oracle_cell_perms(cells, q):
 @given(cells=hst.tuples(*[hst.integers(0, 5)] * 4), q=hst.sampled_from([0.0, 0.45]))
 @example(cells=(4, 3, 2, 5), q=0.0)
 @example(cells=(4, 3, 2, 5), q=0.45)  # masks cells a and d
-def test_batched_lookup_matches_shift_enumeration(cells, q, fisher05):
+# 12 compositions miss in the cold 8-shift window and reverse only beyond it
+@example(cells=(1, 1, 3, 10), q=0.0)
+def test_batched_lookup_matches_shift_enumeration(cells, q, fisher05, evict_contexts):
     # q = 0.45 sits on no within-arm rate of a table this small
     assume(sum(cells) > 0 and boundary_safe(*cells))
     table = Table2x2(*cells)
     mod = empirical_modifier(frame_from_table(table), q)
+    evict_contexts(cells)
     ctx = _context_for(table, fisher05, _modifier_cell_perms(mod))
     comps = np.array(list(itertools.product(*(range(n + 1) for n in cells))))
     got = ctx.comps_reversible(comps)
@@ -418,6 +466,19 @@ def test_reversible_monotone_in_restriction(frame3, fisher05):
 def test_reversible_full_frame(frame3, fisher05):
     mod = empirical_modifier(frame3, 0.0)
     assert reversible(frame3, mod, fisher05)
+
+
+def test_reversible_full_frame_needs_only_a_small_window(
+    table3, frame3, fisher05, evict_contexts
+):
+    # a reversal within reach of the cold window decides the whole table,
+    # so no q builds the 429 x 1202 full grid
+    evict_contexts(TABLE3)
+    for q in (0.0, 0.2, 0.5):
+        mod = empirical_modifier(frame3, q)
+        assert reversible(frame3, mod, fisher05)
+        ctx = _context_for(table3, fisher05, _modifier_cell_perms(mod))
+        assert ctx.grid.shape[0] <= 33 and ctx.grid.shape[1] <= 33
 
 
 def test_reversible_falls_back_without_exchangeability(fisher05):

@@ -15,13 +15,12 @@ from hypothesis import strategies as hst
 
 from conftest import ALPHA, ORACLE_KMAX, oracle_crossing, scipy_p
 from fragility.cases import Modifier, empirical_modifier, frame_from_table
-from fragility.core import _CTX_CACHE, _context_for, _modifier_cell_perms
+from fragility.core import _context_for, _modifier_cell_perms
 from fragility.errors import InvalidParameterError
 from fragility.repro import _exact_prob_reversal
-from fragility.stats import Table2x2
+from fragility.stats import Table2x2, _bracket_crossing
 from fragility.stochastic import (
     SgfiConfig,
-    _bracket_crossing,
     exact_sfi_2x2,
     probability_reversal,
     sgfi,
@@ -117,14 +116,13 @@ def test_probability_reversal_is_thread_invariant(frame3, mod0, fisher05):
     assert one == again
 
 
-def test_probability_reversal_independent_of_grid_window(fisher05):
+def test_probability_reversal_independent_of_grid_window(fisher05, evict_contexts):
     # the same estimate from a cold context, whose grid covers only the
     # drawn compositions, and from one grown to the full grid
     cells = (30, 70, 50, 50)
     frame = frame_from_table(Table2x2(*cells))
     mod = empirical_modifier(frame, 0.0)
-    for key in [key for key in _CTX_CACHE if key[0] == cells]:
-        del _CTX_CACHE[key]
+    evict_contexts(cells)
     cold = probability_reversal(9, frame, mod, fisher05, trials=500, seed=4)
     ctx = _context_for(Table2x2(*cells), fisher05, _modifier_cell_perms(mod))
     assert ctx.grid.shape[0] < cells[0] + cells[1] + 1
