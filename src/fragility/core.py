@@ -197,34 +197,22 @@ class _TableReversal:
         Each row's rectangle is looked up clipped to the current window. A
         hit there is a hit in the full rectangle; a miss is final once the
         row's largest permitted extent is at most K, since the rectangle
-        then lies inside the window. Only rows left undecided grow it."""
-        comps = np.asarray(comps, dtype=np.int64)
+        then lies inside the window. While some miss is not final, the
+        window doubles and the rows are looked up again."""
         # the permitted-shift rectangle of each row: -k1 <= i <= k2 and
         # -k3 <= j <= k4, zero extent for unpermitted cells
-        ext = comps * self._ext_sign
+        ext = np.asarray(comps, dtype=np.int64) * self._ext_sign
         self.ensure(0)  # a cold context starts from the smallest window
-        if not comps.size or comps.max() <= self._K:
-            # every rectangle lies inside the window
-            return self._window_hits(ext)
-        out = self._window_hits(ext, clip=True)
-        todo = np.nonzero(~out)[0]
-        # past the largest cell the window already spans the whole lattice
-        need = np.minimum(np.abs(ext[todo]).max(axis=1), self._max_cell)
-        while True:
-            undecided = need > self._K
-            todo, need = todo[undecided], need[undecided]
-            if not todo.size:
-                return out
-            self.ensure(int(need.min()))
-            hit = self._window_hits(ext[todo], clip=True)
-            out[todo] = hit
-            todo, need = todo[~hit], need[~hit]
+        out = self._window_hits(ext)
+        # past the largest cell the window spans the whole permitted lattice
+        while self._K < self._max_cell and np.abs(ext[~out]).max(initial=0) > self._K:
+            self.ensure(self._K + 1)  # doubles the window
+            out = self._window_hits(ext)
+        return out
 
-    def _window_hits(self, ext: np.ndarray, clip: bool = False) -> np.ndarray:
-        """Reversals in each signed-extent rectangle, clipped to the window
-        if asked (unclipped rectangles must lie inside it)."""
-        if clip:
-            ext = np.minimum(np.maximum(ext, self._win_lo), self._win_hi)
+    def _window_hits(self, ext: np.ndarray) -> np.ndarray:
+        """Reversals in each signed-extent rectangle clipped to the window."""
+        ext = np.minimum(np.maximum(ext, self._win_lo), self._win_hi)
         box = ext - self._win_lo
         return rect_counts(self.prefix, box[:, 0], box[:, 1], box[:, 2], box[:, 3]) > 0
 

@@ -430,14 +430,24 @@ def oracle_cell_perms(cells, q):
     return (b / arm1 >= q, a / arm1 >= q, d / arm2 >= q, c / arm2 >= q)
 
 
-@settings(max_examples=25, deadline=None)
-@given(cells=hst.tuples(*[hst.integers(0, 5)] * 4), q=hst.sampled_from([0.0, 0.45]))
+# three cells up to 5 and one of 9 to 14 in any position: the larger cell
+# reaches past the cold 8-shift window, so lookups clip and may grow it
+LOOKUP_CELLS = hst.tuples(
+    hst.tuples(*[hst.integers(0, 5)] * 3), hst.integers(9, 14), hst.integers(0, 3)
+).map(lambda t: t[0][: t[2]] + (t[1],) + t[0][t[2] :])
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=LOOKUP_CELLS, q=hst.sampled_from([0.0, 0.15, 0.45]))
 @example(cells=(4, 3, 2, 5), q=0.0)
 @example(cells=(4, 3, 2, 5), q=0.45)  # masks cells a and d
 # 12 compositions miss in the cold 8-shift window and reverse only beyond it
 @example(cells=(1, 1, 3, 10), q=0.0)
+# masks cell b and grows the window for cell d
+@example(cells=(0, 2, 3, 12), q=0.15)
 def test_batched_lookup_matches_shift_enumeration(cells, q, fisher05, evict_contexts):
-    # q = 0.45 sits on no within-arm rate of a table this small
+    # q = 0.15 = 3/20 and q = 0.45 = 9/20 sit on no within-arm rate of
+    # these tables, since no arm holds 20 cases
     assume(sum(cells) > 0 and boundary_safe(*cells))
     table = Table2x2(*cells)
     mod = empirical_modifier(frame_from_table(table), q)
@@ -479,6 +489,18 @@ def test_reversible_full_frame_needs_only_a_small_window(
         assert reversible(frame3, mod, fisher05)
         ctx = _context_for(table3, fisher05, _modifier_cell_perms(mod))
         assert ctx.grid.shape[0] <= 33 and ctx.grid.shape[1] <= 33
+
+
+def test_reversible_doubles_the_window_past_a_cold_miss(fisher05, evict_contexts):
+    # every reversal lies beyond the cold 8-shift window; one doubling
+    # reaches one, so the 501 x 501 full grid is never built
+    cells = (10, 490, 45, 455)
+    evict_contexts(cells)
+    frame = frame_from_table(Table2x2(*cells))
+    mod = empirical_modifier(frame, 0.0)
+    assert reversible(frame, mod, fisher05)
+    ctx = _context_for(Table2x2(*cells), fisher05, _modifier_cell_perms(mod))
+    assert ctx.grid.shape == (27, 33)
 
 
 def test_reversible_falls_back_without_exchangeability(fisher05):
