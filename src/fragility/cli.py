@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -510,7 +511,10 @@ def cmd_repro(args, argv) -> tuple[int, dict]:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: every default is immutable
+    and each parse_args call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="fragility",
         description="fragility measures for hypothesis tests and elections",

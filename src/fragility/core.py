@@ -385,6 +385,10 @@ def gfi_greedy(
     at most once, ties broken by lowest case id then smallest outcome
     label), until the decision flips or candidates run out (UNBOUNDED).
     restriction limits the modifiable cases to the given ids.
+
+    On a binary two-arm frame under a table test, every flip out of a cell
+    gives the same table, so each step scores at most four tables, once
+    per cell, and offers that cell's lowest available case id.
     """
     if modifier.probs.shape[0] != frame.n:
         raise InvalidParameterError("modifier was built for a different frame")
@@ -409,27 +413,31 @@ def gfi_greedy(
         allowed[frame.positions_of(restriction)] = True
 
     available = modifier.permitted_matrix() & allowed[:, None]
-    t = table_from_frame(frame).as_tuple() if tabular else None
+    if tabular:
+        t = table_from_frame(frame).as_tuple()
+        # each cell's candidates in case-id order; a step offers the heads
+        rows = np.nonzero(available[np.arange(frame.n), 1 - y])[0]
+        cells = frame.arm_codes[rows] * 2 + y[rows]
+        queue = rows[np.lexsort((frame.case_ids[rows], cells))]
+        sizes = np.bincount(cells, minlength=4)
+        ends = np.cumsum(sizes)
+        heads, ends = (ends - sizes).tolist(), ends.tolist()
 
     entries: list[tuple[int, str]] = []
     p_cur = p0
     for step in range(1, frame.n + 1):
-        rows = np.nonzero(available.any(axis=1))[0]
-        if rows.size == 0:
-            break
+        if not tabular:
+            rows = np.nonzero(available.any(axis=1))[0]
+            if rows.size == 0:
+                break
         cands: list[tuple[float, int, str, int, int]] = []
         if tabular:
-            cell_p: dict[int, float] = {}
-            for r in rows:
-                m = 1 - y[r]  # binary: the only candidate level
-                if not available[r, m]:
-                    continue
-                cell = int(frame.arm_codes[r] * 2 + y[r])
-                if cell not in cell_p:
-                    cell_p[cell] = test.table_p(*_moved(t, cell))
-                cands.append(
-                    (cell_p[cell], int(frame.case_ids[r]), levels[m], int(r), int(m))
-                )
+            for cell in range(4):
+                if heads[cell] < ends[cell]:
+                    r = int(queue[heads[cell]])
+                    m = 1 - cell % 2  # binary: the only candidate level
+                    cands.append((test.table_p(*_moved(t, cell)),
+                                  int(frame.case_ids[r]), levels[m], r, m))
         elif fast_eval is not None:
             targets = 1 - y[rows]
             usable = available[rows, targets]
@@ -465,7 +473,9 @@ def gfi_greedy(
             break
         p_new, cid, label, r, m = best
         if tabular:
-            t = _moved(t, int(frame.arm_codes[r] * 2 + y[r]))
+            cell = int(frame.arm_codes[r] * 2 + y[r])
+            t = _moved(t, cell)
+            heads[cell] += 1
         y[r] = m
         available[r, :] = False
         entries.append((cid, label))

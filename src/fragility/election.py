@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
@@ -198,8 +199,9 @@ def sgfi_half_closed_form(population: int, pool: int, switches: int) -> ClosedFo
     hypergeom_sf.
     """
     for name, v in (("population", population), ("pool", pool), ("switches", switches)):
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
             raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+    population, pool, switches = int(population), int(pool), int(switches)
     if not 0 < pool <= population:
         raise InvalidParameterError("need 0 < pool <= population")
     if not 0 < switches <= pool:
@@ -208,21 +210,25 @@ def sgfi_half_closed_form(population: int, pool: int, switches: int) -> ClosedFo
     approximation = switches * population / pool
     initializer = math.ceil(approximation)
 
+    tails: dict[int, float] = {}  # the search's tails, reused for sf_at and sf_below
+
+    def sf(m: int) -> float:
+        if m not in tails:
+            tails[m] = hypergeom_sf(population, pool, m, switches)
+        return tails[m]
+
     # exact ties sf = 1/2 (e.g. pool 1, even population) must not count as
     # crossings just because the tail rounds an ulp high; sf(population) is
     # 1, so the crossing always exists
     exact = _bracket_crossing(
-        lambda m: hypergeom_sf(population, pool, m, switches),
-        0.5 + 1e-12,
-        min(max(initializer, switches), population),
-        population,
+        sf, 0.5 + 1e-12, min(max(initializer, switches), population), population
     )
     return ClosedFormSfi(
         index=exact,
         initializer=initializer,
         approximation=approximation,
-        sf_at=hypergeom_sf(population, pool, exact, switches),
-        sf_below=hypergeom_sf(population, pool, exact - 1, switches),
+        sf_at=sf(exact),
+        sf_below=sf(exact - 1),
         population=population,
         pool=pool,
         switches=switches,

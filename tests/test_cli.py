@@ -1,9 +1,15 @@
 """Command-line surface: exit codes, JSON reports, determinism, repro."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fragility
 
 from conftest import NEAR_SEPARATED
 from fragility import cli
@@ -266,6 +272,85 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "0." in capsys.readouterr().out
+
+
+# --- one process, many calls -----------------------------------------------------
+
+
+def run_in_turn(capsys, calls):
+    """(exit code, output, stderr) of each call in turn, in this process;
+    JSON output is parsed and its timing dropped."""
+    results = []
+    for argv in calls:
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr()
+        text = out.out
+        if text.startswith("{"):
+            text = json.loads(text)
+            text.pop("timing_s")
+        results.append((rc, text, out.err))
+    return results
+
+
+def same_as_fresh_parsers(capsys, monkeypatch, calls):
+    """Results of the calls through the process's one parser, checked
+    against a parser built fresh for each call."""
+    assert cli.build_parser() is cli.build_parser()
+    reused = run_in_turn(capsys, calls)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert run_in_turn(capsys, calls) == reused
+    return reused
+
+
+def test_gfi_default_q_after_an_explicit_q(capsys, monkeypatch):
+    first, second = same_as_fresh_parsers(capsys, monkeypatch, [
+        ("gfi", "--table", T2, "--q", "0.25", "--json", "-"),
+        ("gfi", "--table", T2, "--json", "-"),
+    ])
+    assert first[1]["parameters"]["q"] == 0.25
+    assert second[1]["parameters"]["q"] == 0.0
+
+
+def test_sgfi_default_seed_after_an_explicit_seed(capsys, monkeypatch):
+    first, second = same_as_fresh_parsers(capsys, monkeypatch, [
+        ("sgfi", "--table", T3, "-B", "50", "-T", "20", "--seed", "3", "--json", "-"),
+        ("sgfi", "--table", T3, "-B", "50", "-T", "20", "--json", "-"),
+    ])
+    assert first[1]["parameters"]["seed"] == 3
+    assert second[1]["parameters"]["seed"] == 0
+
+
+def test_valid_call_after_a_bad_flag(capsys, monkeypatch):
+    bad, good = same_as_fresh_parsers(capsys, monkeypatch, [
+        ("fi", "--table", T3, "--bogus"),
+        ("fi", "--table", T3, "--json", "-"),
+    ])
+    assert bad[0] == 2 and "--bogus" in bad[2]
+    assert good[0] == 0 and good[1]["result"] == 6
+
+
+def test_human_lines_after_a_json_call(capsys, monkeypatch):
+    quiet, loud = same_as_fresh_parsers(capsys, monkeypatch, [
+        ("fi", "--table", T3, "--json", "-"),
+        ("fi", "--table", T3),
+    ])
+    assert quiet[1]["result"] == 6
+    assert loud[1] == GOLDEN[0][1]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs tens of MB and most of a second to import; only the
+    # hypergeometric tails load it, on first use
+    env = dict(os.environ, PYTHONPATH=str(Path(fragility.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import fragility.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        env=env, check=True,
+    )
 
 
 # --- exit code 2: input errors --------------------------------------------------

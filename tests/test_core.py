@@ -38,6 +38,7 @@ from fragility.core import (
     UNBOUNDED,
     FragilityResult,
     _context_for,
+    _select_candidate,
     _TableReversal,
     _modifier_cell_perms,
     fi_2x2_exact,
@@ -47,7 +48,7 @@ from fragility.core import (
     reversible_2x2_exact,
 )
 from fragility.errors import InvalidParameterError, UnconvergedFitError
-from fragility.stats import Table2x2, logistic_fit, logistic_wald_test, wald_p
+from fragility.stats import Table2x2, is_significant, logistic_fit, logistic_wald_test, wald_p
 
 
 def oracle_fi(a, b, c, d, alpha=ALPHA):
@@ -390,6 +391,70 @@ def test_greedy_never_beats_exact(a, b, c, d, fisher05):
         assert not exact.unbounded
         assert abs(greedy.index) >= abs(exact.index)
         assert (greedy.index > 0) == (exact.index > 0)
+
+
+def per_case_greedy(frame, modifier, test, restriction=None):
+    """The tabular greedy search with one candidate per available case,
+    each scored by the p of its moved table."""
+    y = np.array(frame.outcome_codes)
+    p0 = test.p_value(frame)
+    sig0 = is_significant(p0, test.alpha)
+    available = modifier.permitted_matrix()
+    if restriction is not None:
+        available &= np.isin(frame.case_ids, list(restriction))[:, None]
+    t = list(table_from_frame(frame).as_tuple())
+    entries = []
+    for step in range(1, frame.n + 1):
+        cands = []
+        for r in range(frame.n):
+            m = 1 - y[r]
+            if available[r, m]:
+                cell = frame.arm_codes[r] * 2 + y[r]
+                moved = list(t)
+                moved[cell] -= 1
+                moved[cell ^ 1] += 1
+                cands.append((test.table_p(*moved), int(frame.case_ids[r]),
+                              frame.outcome_levels[m], r, m))
+        best = _select_candidate(cands, sig0)
+        if best is None:
+            break
+        p_new, cid, label, r, m = best
+        cell = frame.arm_codes[r] * 2 + y[r]
+        t[cell] -= 1
+        t[cell ^ 1] += 1
+        y[r] = m
+        available[r, :] = False
+        entries.append((cid, label))
+        if is_significant(p_new, test.alpha) != sig0:
+            index = step if sig0 else -step
+            return FragilityResult(index, ModificationPlan(tuple(entries)), sig0, p0, p_new)
+    return FragilityResult(UNBOUNDED, ModificationPlan(()), sig0, p0, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=hst.tuples(*[hst.integers(0, 30)] * 4),
+    q=hst.sampled_from([0.0, 0.25, 0.45]),
+    order=hst.sampled_from(["rows", "reversed", "shuffled"]),
+    restriction=hst.none() | hst.frozensets(hst.integers(0, 119)),
+)
+@example(cells=(2, 2, 2, 2), q=0.0, order="reversed", restriction=None)
+@example(cells=(5, 0, 3, 7), q=0.25, order="shuffled", restriction=frozenset(range(0, 15, 2)))
+def test_gfi_greedy_scores_cells_like_cases(cells, q, order, restriction, fisher05):
+    # case ids out of row order: within a cell the lowest id, not the first
+    # row, must be modified first
+    assume(sum(cells) > 0)
+    frame = frame_from_table(Table2x2(*cells))
+    if order == "reversed":
+        frame = dataclasses.replace(frame, case_ids=frame.case_ids[::-1].copy())
+    elif order == "shuffled":
+        ids = np.random.default_rng(sum(cells)).permutation(frame.n)
+        frame = dataclasses.replace(frame, case_ids=ids)
+    if restriction is not None:
+        restriction = sorted(i for i in restriction if i < frame.n)
+    mod = empirical_modifier(frame, q)
+    got = gfi_greedy(frame, mod, fisher05, restriction)
+    assert got == per_case_greedy(frame, mod, fisher05, restriction)
 
 
 # --- subset reversibility -------------------------------------------------------

@@ -8,6 +8,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -259,6 +260,15 @@ def test_closed_form_validation():
         sgfi_half_closed_form(10, 5, 6)
     with pytest.raises(InvalidParameterError):
         sgfi_half_closed_form(10.0, 5, 2)
+    with pytest.raises(InvalidParameterError):
+        sgfi_half_closed_form(10, True, 1)
+
+
+def test_closed_form_accepts_numpy_integers():
+    want = sgfi_half_closed_form(1000, 100, 5)
+    got = sgfi_half_closed_form(np.int64(1000), np.int32(100), np.uint8(5))
+    assert got == want
+    assert type(got.population) is int and type(got.index) is int
 
 
 # --- tally files ----------------------------------------------------------------
