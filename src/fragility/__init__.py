@@ -52,7 +52,6 @@ from .stats import (
     TestSpec,
     fisher_exact_two_sided,
     fisher_test,
-    hypergeom_pmf,
     hypergeom_sf,
     is_significant,
     logistic_fit,
@@ -106,7 +105,6 @@ __all__ = [
     "fisher_test",
     "frame_from_table",
     "gfi_greedy",
-    "hypergeom_pmf",
     "hypergeom_sf",
     "is_significant",
     "is_unbounded",

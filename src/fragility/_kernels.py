@@ -20,8 +20,12 @@ import numpy as np
 from scipy.special import gammaln
 
 # log-pmf inclusion slack for the two-sided rule: a table enters the tail
-# sum when logpmf(x) <= logpmf(observed) + _SLACK
+# sum when logpmf(x) <= logpmf(observed) + slack, where slack is the larger
+# of _SLACK and _ULPS * log(n!). Each log-pmf sums nine log-factorials of
+# size up to log(n!): exact ties (symmetric margins) come out within one
+# eps * log(n!) of each other, distinct pmfs more than 1e7 of them apart
 _SLACK = 1e-12
+_ULPS = 32 * np.finfo(np.float64).eps
 
 
 def log_factorials(total: int) -> np.ndarray:
@@ -41,7 +45,10 @@ def fisher_p(lf, a, b, c, d):
     base = lf[n] - lf[c1] - lf[n - c1]
     lx = lf[r1] - lf[x] - lf[r1 - x] + lf[r2] - lf[c1 - x] - lf[r2 - (c1 - x)] - base
     lobs = lx[a - lo]
-    p = float(np.exp(lx[lx <= lobs + _SLACK]).sum())
+    slack = _ULPS * lf[n]  # a numpy scalar: max() on it is slow per call
+    if slack < _SLACK:
+        slack = _SLACK
+    p = float(np.exp(lx[lx <= lobs + slack]).sum())
     return p if p < 1.0 else 1.0
 
 

@@ -6,6 +6,7 @@ permitted at threshold q.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -348,9 +349,9 @@ def load_csv(
 ) -> CaseFrame:
     """Read a long-format CSV with a header row.
 
-    Declared covariate columns are parsed as floats; parse failures raise
-    ParseError naming the 1-based data row, missing columns raise
-    SchemaError.
+    Declared covariate columns are parsed as floats; parse failures and
+    non-finite values (nan, inf) raise ParseError naming the 1-based data
+    row, missing columns raise SchemaError.
     """
     covariates = tuple(covariates)
     arms: list[str] = []
@@ -377,11 +378,15 @@ def load_csv(
                 if raw is None or raw == "":
                     raise ParseError(f"missing covariate {name!r}", row=rownum)
                 try:
-                    covs[name].append(float(raw))
+                    value = float(raw)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ParseError(
-                        f"covariate {name!r} value {raw!r} is not numeric", row=rownum
-                    ) from None
+                        f"covariate {name!r} value {raw!r} is not a finite number",
+                        row=rownum,
+                    )
+                covs[name].append(value)
     if not arms:
         raise DataError(f"{path}: no data rows")
     return CaseFrame.from_columns(arms, outcomes, covs)

@@ -17,10 +17,10 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._kernels import comp_prob, fisher_p, log_factorials, prefix_sums, rect_counts, reversal_grid
+from ._kernels import comp_prob, fisher_p, prefix_sums, rect_counts, reversal_grid
 from .cases import CaseFrame, ModificationPlan, Modifier, table_from_frame
 from .errors import InvalidParameterError, UnconvergedFitError
-from .stats import Table2x2, TestSpec, is_significant
+from .stats import Table2x2, TestSpec, _fisher_table_p, _lf_cache, is_significant
 
 __all__ = [
     "UNBOUNDED",
@@ -99,10 +99,11 @@ _UNSET = object()  # min_cost not computed yet
 
 
 class _TableReversal:
-    """Reversal geometry of a 2x2 table under net event shifts.
+    """Reversal geometry of a 2x2 table under net event shifts, decided by
+    Fisher's exact test at alpha.
 
     Lazily builds a boolean grid over shifts (i, j) -- restricted to the
-    per-cell permitted directions -- marking where the test decision flips,
+    per-cell permitted directions -- marking where the Fisher decision flips,
     plus 2D prefix sums so "does this shift rectangle contain a reversal?"
     is O(1). The grid covers a window of at most K shifts per direction.
     It grows only when an answer needs it: a composition lookup whose
@@ -117,8 +118,6 @@ class _TableReversal:
         table: Table2x2,
         alpha: float,
         perms: tuple[bool, bool, bool, bool] = (True, True, True, True),
-        table_p=None,
-        kernel: bool = True,
     ):
         self.table = table
         self.alpha = float(alpha)
@@ -126,12 +125,8 @@ class _TableReversal:
         # a composition (k1, k2, k3, k4) permits shifts -k1 <= i <= k2 and
         # -k3 <= j <= k4; unpermitted cells contribute no extent
         self._ext_sign = np.array([-1, 1, -1, 1]) * np.asarray(self.perms)
-        if not kernel and table_p is None:
-            raise InvalidParameterError("generic context needs a table_p callable")
-        self.kernel = kernel
-        self._table_p = table_p
         self._max_cell = max(table.as_tuple())
-        self.lf = log_factorials(table.n)
+        self.lf = _lf_cache(table.n)
         self.p0 = self.p_of_shift(0, 0)
         self.sig0 = self.p0 < self.alpha
         self._K = -1
@@ -142,9 +137,7 @@ class _TableReversal:
 
     def p_of_shift(self, i: int, j: int) -> float:
         t = self.table
-        if self.kernel:
-            return float(fisher_p(self.lf, t.a + i, t.b - i, t.c + j, t.d - j))
-        return float(self._table_p(t.a + i, t.b - i, t.c + j, t.d - j))
+        return float(fisher_p(self.lf, t.a + i, t.b - i, t.c + j, t.d - j))
 
     def _extents(self, K: int) -> tuple[int, int, int, int]:
         t = self.table
@@ -167,20 +160,11 @@ class _TableReversal:
         ea, eb, ec, ed = self._extents(K)
         gi_lo, gi_hi = -ea, eb
         gj_lo, gj_hi = -ec, ed
-        if self.kernel:
-            grid = reversal_grid(
-                self.lf, t.a, t.b, t.c, t.d, self.alpha,
-                1 if self.sig0 else 0, gi_lo, gi_hi, gj_lo, gj_hi,
-            )
-        else:
-            grid = np.zeros((gi_hi - gi_lo + 1, gj_hi - gj_lo + 1), dtype=np.uint8)
-            for ii, i in enumerate(range(gi_lo, gi_hi + 1)):
-                for jj, j in enumerate(range(gj_lo, gj_hi + 1)):
-                    sig = self.p_of_shift(i, j) < self.alpha
-                    if sig != self.sig0:
-                        grid[ii, jj] = 1
-        self.grid = grid
-        self.prefix = prefix_sums(grid)
+        self.grid = reversal_grid(
+            self.lf, t.a, t.b, t.c, t.d, self.alpha,
+            1 if self.sig0 else 0, gi_lo, gi_hi, gj_lo, gj_hi,
+        )
+        self.prefix = prefix_sums(self.grid)
         self.gi_lo, self.gj_lo = gi_lo, gj_lo
         self._win_lo = np.array([gi_lo, gi_lo, gj_lo, gj_lo])
         self._win_hi = np.array([gi_hi, gi_hi, gj_hi, gj_hi])
@@ -268,31 +252,27 @@ _CTX_CACHE: "OrderedDict[tuple, _TableReversal]" = OrderedDict()
 _CTX_CACHE_MAX = 16
 
 
-def _fisher_context(
-    table: Table2x2, alpha: float, perms: tuple[bool, bool, bool, bool]
+def _context_for(
+    table: Table2x2,
+    test: TestSpec,
+    perms: tuple[bool, bool, bool, bool] = (True, True, True, True),
 ) -> _TableReversal:
-    key = (table.as_tuple(), alpha, perms)
+    """The cached reversal context of (table, alpha, perms); Fisher only."""
+    if test.table_p is not _fisher_table_p:
+        raise InvalidParameterError(
+            f"test {test.name!r} is not Fisher's exact test; the exact 2x2 "
+            "functions support only fisher_test"
+        )
+    key = (table.as_tuple(), test.alpha, perms)
     ctx = _CTX_CACHE.get(key)
     if ctx is None:
-        ctx = _TableReversal(table, alpha, perms=perms, kernel=True)
+        ctx = _TableReversal(table, test.alpha, perms=perms)
         _CTX_CACHE[key] = ctx
         while len(_CTX_CACHE) > _CTX_CACHE_MAX:
             _CTX_CACHE.popitem(last=False)
     else:
         _CTX_CACHE.move_to_end(key)
     return ctx
-
-
-def _context_for(
-    table: Table2x2,
-    test: TestSpec,
-    perms: tuple[bool, bool, bool, bool] = (True, True, True, True),
-) -> _TableReversal:
-    if test.table_p is None:
-        raise InvalidParameterError(f"test {test.name!r} is not table-reducible")
-    if test.kernel == "fisher":
-        return _fisher_context(table, test.alpha, perms)
-    return _TableReversal(table, test.alpha, perms=perms, table_p=test.table_p, kernel=False)
 
 
 def _frame_cell_codes(frame: CaseFrame) -> np.ndarray:
@@ -328,7 +308,7 @@ def _modifier_table(modifier: Modifier) -> Table2x2:
 
 def _exchangeable(frame: CaseFrame, modifier: Modifier, test: TestSpec) -> bool:
     return (
-        test.table_p is not None
+        test.table_p is _fisher_table_p
         and modifier.cell_uniform
         and len(frame.arm_levels) <= 2
         and len(frame.outcome_levels) == 2
@@ -534,9 +514,9 @@ def reversible(
     """Can permitted modifications of the (restricted) cases reverse the
     decision?
 
-    Exchangeable instances (table-reducible test, cell-uniform modifier,
-    binary two-arm frame) are answered exactly through the composition
-    oracle; everything else falls back to the greedy search.
+    Exchangeable instances (Fisher's test, cell-uniform modifier, binary
+    two-arm frame) are answered exactly through the composition oracle;
+    everything else falls back to the greedy search.
     """
     if _exchangeable(frame, modifier, test):
         ctx = _context_for(

@@ -24,7 +24,6 @@ __all__ = [
     "Table2x2",
     "LogisticFit",
     "TestSpec",
-    "hypergeom_pmf",
     "hypergeom_sf",
     "fisher_exact_two_sided",
     "logistic_fit",
@@ -105,21 +104,6 @@ def _check_hypergeom_params(population, successes, draws):
         raise InvalidParameterError("need 0 <= draws <= population")
 
 
-def hypergeom_pmf(population: int, successes: int, draws: int, count: int) -> float:
-    """P[X = count] for X ~ Hypergeometric(population, successes, draws).
-
-    scipy.stats.hypergeom's exact pmf; zero outside the support.
-    """
-    _check_hypergeom_params(population, successes, draws)
-    lo = max(0, draws - (population - successes))
-    hi = min(draws, successes)
-    if count < lo or count > hi:
-        return 0.0
-    from scipy.stats import hypergeom  # imported on first use: it is slow to load
-
-    return float(hypergeom.pmf(count, population, successes, draws))
-
-
 def hypergeom_sf(population: int, successes: int, draws: int, threshold: int) -> float:
     """P[X >= threshold] for X ~ Hypergeometric(population, successes, draws).
 
@@ -187,7 +171,8 @@ def fisher_exact_two_sided(table: Table2x2) -> float:
 
     Sums, over the support of the conditional hypergeometric distribution,
     every table whose pmf does not exceed the observed table's pmf (with a
-    1e-12 log slack so ties survive rounding). Degenerate margins give 1.
+    log slack of 32 eps * log(n!), at least 1e-12, so exact ties survive
+    rounding). Degenerate margins give 1.
     """
     lf = _lf_cache(table.n)
     return float(fisher_p(lf, table.a, table.b, table.c, table.d))
@@ -223,7 +208,8 @@ def logistic_fit(
         design: (n, p) float design matrix including any intercept column.
         outcomes: length-n 0/1 array.
 
-    Raises SingularDesignError on rank-deficient designs. Separation is
+    Raises InvalidParameterError on a design with nan or inf entries and
+    SingularDesignError on rank-deficient designs. Separation is
     reported via the flags (converged=False, separated=True), never raised.
     """
     X = np.asarray(design, dtype=np.float64)
@@ -237,6 +223,8 @@ def logistic_fit(
         raise InvalidParameterError("outcomes must be 0/1")
     if n < p:
         raise InvalidParameterError("need at least as many rows as parameters")
+    if not np.all(np.isfinite(X)):
+        raise InvalidParameterError("design must be finite (no nan or inf)")
     if np.linalg.matrix_rank(X) < p:
         raise SingularDesignError(f"design has rank < {p}")
 
@@ -330,14 +318,14 @@ class TestSpec:
     """A decision rule: p_value over a case frame plus the alpha threshold.
 
     table_p, when present, evaluates the same test straight from 2x2 cell
-    counts; its presence marks the test as table-reducible, which unlocks
-    the exact exchangeable-table machinery. make_fast_eval, when present,
-    builds a per-frame evaluator for the greedy search: refit(y) gives
-    p_value of the frame with outcomes y, and p_after_flips(y, rows) the
-    p-value after flipping each row in turn, computed in one batch; both
-    match p_value up to solver tolerance, NaN where its fit is unusable.
-    kernel names the log-factorial kernels for the table test ("fisher")
-    so the exact machinery can use them in place of table_p.
+    counts, which lets the greedy search score a step by cell. The exact
+    exchangeable-table machinery is Fisher-only: it serves the tests whose
+    table_p is fisher_test's, and a custom table_p takes the greedy path.
+    make_fast_eval, when present, builds a per-frame evaluator for the
+    greedy search: refit(y) gives p_value of the frame with outcomes y, and
+    p_after_flips(y, rows) the p-value after flipping each row in turn,
+    computed in one batch; both match p_value up to solver tolerance, NaN
+    where its fit is unusable.
     """
 
     name: str
@@ -345,27 +333,27 @@ class TestSpec:
     p_value: Callable[["CaseFrame"], float]
     table_p: Optional[Callable[[int, int, int, int], float]] = None
     make_fast_eval: Optional[Callable[["CaseFrame"], object]] = None
-    kernel: Optional[str] = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise InvalidParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
+def _fisher_table_p(a: int, b: int, c: int, d: int) -> float:
+    """fisher_test's table_p; the exact 2x2 machinery recognises it."""
+    return fisher_exact_two_sided(Table2x2(a, b, c, d))
+
+
+def _fisher_frame_p(frame: "CaseFrame") -> float:
+    from .cases import table_from_frame
+
+    return fisher_exact_two_sided(table_from_frame(frame))
+
+
 def fisher_test(alpha: float = 0.05) -> TestSpec:
     """Fisher's exact two-sided test on the frame's 2x2 aggregation."""
-
-    def table_p(a: int, b: int, c: int, d: int) -> float:
-        return fisher_exact_two_sided(Table2x2(a, b, c, d))
-
-    def p_value(frame: "CaseFrame") -> float:
-        from .cases import table_from_frame
-
-        t = table_from_frame(frame)
-        return table_p(t.a, t.b, t.c, t.d)
-
     return TestSpec(
-        name="fisher", alpha=alpha, p_value=p_value, table_p=table_p, kernel="fisher"
+        name="fisher", alpha=alpha, p_value=_fisher_frame_p, table_p=_fisher_table_p
     )
 
 

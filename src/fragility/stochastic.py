@@ -33,7 +33,6 @@ from .core import (
     _modifier_table,
     gfi_greedy,
     is_unbounded,
-    reversible,
 )
 from .errors import DiagnosticError, InvalidParameterError
 from .stats import Table2x2, TestSpec, _bracket_crossing, _lchoose, is_significant
@@ -221,34 +220,30 @@ def probability_reversal(
         raise InvalidParameterError(f"k must lie in [0, {frame.n}], got {k}")
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
+    if seed < 0:
+        raise InvalidParameterError("seed must be >= 0")
     if threads < 1:
         raise InvalidParameterError("threads must be >= 1")
     return _ReversalSampler(frame, modifier, test).estimate(k, trials, seed)
 
 
-def _deterministic_index(sampler: _ReversalSampler) -> int:
+def _deterministic_index(sampler: _ReversalSampler) -> Optional[int]:
     """Size of the package's deterministic minimal reversal: the exact
     permitted minimum on exchangeable instances, the greedy count
-    otherwise. Caller guarantees the full frame is reversible."""
+    otherwise; None when the full frame cannot be reversed."""
     if sampler.ctx is not None:
         found = sampler.ctx.min_cost()
-        if found is None:  # pragma: no cover - contradicts reversibility
-            raise DiagnosticError("reversible frame has no minimal reversal")
-        return found[0]
+        return None if found is None else found[0]
     res = gfi_greedy(sampler.frame, sampler.modifier, sampler.test)
-    if is_unbounded(res.index):  # pragma: no cover - contradicts reversibility
-        raise DiagnosticError("reversible frame defeated the greedy search")
-    return abs(res.index)
+    return None if is_unbounded(res.index) else abs(res.index)
 
 
-def _worst_case_k(frame: CaseFrame, modifier: Modifier, test: TestSpec) -> int:
+def _worst_case_k(sampler: _ReversalSampler) -> int:
     """Smallest k such that EVERY k-subset admits a permitted reversal
     (the r = '1-' index). Caller guarantees the full frame is reversible."""
-    if _exchangeable(frame, modifier, test):
-        table = table_from_frame(frame)
-        perms = _modifier_cell_perms(modifier)
-        ctx = _context_for(table, test, perms)
-        return _worst_case_exchangeable(ctx, table, perms) + 1
+    if sampler.ctx is not None:
+        return _worst_case_exchangeable(sampler.ctx) + 1
+    frame, modifier, test = sampler.frame, sampler.modifier, sampler.test
     if frame.n > WORST_CASE_GUARD:
         raise InvalidParameterError(
             f"r='1-' needs exhaustive subset search; frame has {frame.n} cases "
@@ -264,12 +259,12 @@ def _worst_case_k(frame: CaseFrame, modifier: Modifier, test: TestSpec) -> int:
     raise DiagnosticError("reversible frame has no almost-sure index")  # pragma: no cover
 
 
-def _worst_case_exchangeable(ctx, table: Table2x2, perms) -> int:
+def _worst_case_exchangeable(ctx) -> int:
     """Maximum size of a NON-reversing composition, by scanning extents of
     the permitted-shift rectangle against the full reversal grid."""
     ctx.ensure_full()
-    a, b, c, d = table.as_tuple()
-    pa, pb, pc, pd = perms
+    a, b, c, d = ctx.table.as_tuple()
+    pa, pb, pc, pd = ctx.perms
     # members of permission-less cells enlarge a subset without enlarging
     # its shift rectangle
     base = (0 if pa else a) + (0 if pb else b) + (0 if pc else c) + (0 if pd else d)
@@ -346,16 +341,16 @@ def sgfi(
             config=config,
         )
 
-    if not reversible(frame, modifier, test):
+    sampler = _ReversalSampler(frame, modifier, test)
+    det = _deterministic_index(sampler)
+    if det is None:
         return result(UNBOUNDED)
 
     if config.r == "1-":
-        k = _worst_case_k(frame, modifier, test)
+        k = _worst_case_k(sampler)
         return result(k if sig0 else -k)
 
     r = float(config.r)
-    sampler = _ReversalSampler(frame, modifier, test)
-    det = _deterministic_index(sampler)
     # below the probability of hitting one specific det-sized subset, the
     # crossing provably sits at the deterministic index
     if r == 0.0 or math.log(r) < -_lchoose(n, det):
@@ -420,36 +415,47 @@ def exact_sfi_2x2(
     r: float = 0.5,
     max_k: int = COMPOSITION_GUARD,
 ) -> ExactSfiResult:
-    """Exact stochastic fragility index of an exchangeable 2x2 table.
+    """Exact stochastic fragility index of an exchangeable 2x2 table under
+    Fisher's exact test (any other test raises InvalidParameterError).
 
     Sums multivariate hypergeometric masses of reversible compositions to
     get P[E_k] exactly, returning the minimal k with P[E_k] > r along with
-    the crossing probabilities. UNBOUNDED when even the full table admits
-    no permitted reversal; a guard refuses k beyond max_k.
+    the crossing probabilities. P[E_k] is 0 below the exact index and does
+    not fall as k grows (a larger subset contains a smaller one), so the
+    crossing is found by galloping from the exact index and bisecting.
+    UNBOUNDED when even the full table admits no permitted reversal; a
+    guard refuses k beyond max_k.
     """
     if isinstance(r, str) or not 0.0 <= float(r) < 1.0:
         raise InvalidParameterError(f"r must lie in [0, 1), got {r!r}")
     r = float(r)
-    cells = table.as_tuple()
-    if _modifier_table(modifier).as_tuple() != cells:
+    if _modifier_table(modifier).as_tuple() != table.as_tuple():
         raise InvalidParameterError("modifier was built over a different table")
     ctx = _context_for(table, test, _modifier_cell_perms(modifier))
     p0, sig0 = ctx.p0, ctx.sig0
     # Held on the full grid: without this line a perfbench trial_sweep
     # table takes about a tenth of the time, and a run outgrows the fresh
     # tables make_table can draw (the FOUND entry on
-    # perfbench/workloads.py::make_table in CHANGES.md; ROADMAP item 1).
-    # Delete it once make_table is mended.
+    # perfbench/workloads.py::make_table in CHANGES.md; ROADMAP's benchmark
+    # item). Delete it once make_table is mended.
     ctx.ensure_full()
-    if not ctx.comp_reversible(cells):
+    found = ctx.min_cost()
+    if found is None:
         return ExactSfiResult(UNBOUNDED, None, None, sig0, p0)
-    prev = 0.0
-    for k in range(1, min(table.n, max_k) + 1):
-        pk = ctx.prob_reversal(k)
-        if pk > r:
-            index = k if sig0 else -k
-            return ExactSfiResult(index, pk, prev, sig0, p0)
-        prev = pk
+    det = found[0]
+    probs: dict[int, float] = {}
+
+    def prob(k: int) -> float:
+        if k < det:  # no subset smaller than the cheapest reversal reverses
+            return 0.0
+        if k not in probs:
+            probs[k] = ctx.prob_reversal(k)
+        return probs[k]
+
+    limit = min(table.n, max_k)
+    k = _bracket_crossing(prob, r, det, limit) if det <= limit else None
+    if k is not None:
+        return ExactSfiResult(k if sig0 else -k, prob(k), prob(k - 1), sig0, p0)
     raise InvalidParameterError(
         f"composition enumeration guard: P[E_k] has not crossed r={r} by k={max_k}"
     )

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.stats import fisher_exact
 
-from fragility.cases import CaseFrame, frame_from_table
+from fragility.cases import CaseFrame, frame_from_table, table_from_frame
 from fragility.errors import UnconvergedFitError
-from fragility.stats import Table2x2, fisher_test, logistic_fit, wald_p
+from fragility.stats import Table2x2, TestSpec, fisher_test, logistic_fit, wald_p
 
 # one verdict line per acceptance criterion, printed after the test lines
 # (fd-level capture would swallow them mid-run)
@@ -81,6 +81,16 @@ def evict_contexts():
 @lru_cache(maxsize=None)
 def scipy_p(a, b, c, d):
     return float(fisher_exact([[a, b], [c, d]])[1])
+
+
+def scipy_fisher_test(alpha=ALPHA):
+    """Fisher's test as a custom TestSpec: scipy's p-values, so the same
+    decisions, but a table_p that is not fisher_test's."""
+
+    def p_value(frame):
+        return scipy_p(*table_from_frame(frame).as_tuple())
+
+    return TestSpec("scipy_fisher", alpha, p_value, table_p=scipy_p)
 
 
 def reversing_shifts(cells, kmax, alpha=ALPHA):

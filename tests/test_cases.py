@@ -217,6 +217,14 @@ def test_load_csv_bad_covariate_reports_row(tmp_path):
     assert "row 2" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_load_csv_non_finite_covariate_reports_row(tmp_path, bad):
+    path = _write(tmp_path, f"arm,outcome,age\nt,yes,50\nt,no,{bad}\n")
+    with pytest.raises(ParseError, match="finite") as err:
+        load_csv(path, arm="arm", outcome="outcome", covariates=("age",))
+    assert "row 2" in str(err.value)
+
+
 def test_load_csv_empty_rows(tmp_path):
     path = _write(tmp_path, "arm,outcome\n")
     with pytest.raises(DataError):

@@ -377,6 +377,25 @@ def test_input_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("cmd", ["gfi", "sgfi"])
+def test_non_finite_covariate_exits_2(capsys, tmp_path, cmd, bad):
+    # the loader names the row; nan must not reach LAPACK ("SVD did not
+    # converge") nor inf the rank check ("design has rank < 3")
+    path = tmp_path / "cases.csv"
+    rows = ["arm,outcome,x"] + [
+        f"arm{a},{'event' if o else 'none'},{x}"
+        for a, o, x in zip(*NEAR_SEPARATED.values())
+    ]
+    rows[3] = rows[3].rsplit(",", 1)[0] + "," + bad
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rc, out, err = run(capsys, cmd, "--csv", str(path), "--arm", "arm",
+                       "--outcome", "outcome", "--covariates", "x")
+    assert rc == 2
+    assert err.startswith("error:") and "row 3" in err and "finite" in err
+    assert "Traceback" not in err and "rank" not in err
+
+
 # --- exit code 3: diagnostics ---------------------------------------------------
 
 

@@ -23,8 +23,10 @@ from conftest import (
     covariate_frame,
     random_covariate_frame,
     reversing_shifts,
+    scipy_fisher_test,
     scipy_p,
 )
+from fragility import core
 from fragility._kernels import fisher_p, log_factorials, reversal_grid
 from fragility.cases import (
     ModificationPlan,
@@ -127,6 +129,15 @@ def test_fi_unbounded_when_no_shift_reverses(fisher05):
     assert is_unbounded(res.index)
     assert len(res.plan) == 0
     assert res.p_after is None
+
+
+def test_fi_keeps_the_mirror_tie_on_a_large_table(fisher05):
+    # equal arms make the mirror table tie the observed one exactly, 1.8e-12
+    # apart in log-pmf; without it in the tail p reads 0.0472 and the sign +
+    res = fi_2x2_exact(Table2x2(490, 1510, 545, 1455), fisher05)
+    assert res.p_before == pytest.approx(scipy_p(490, 1510, 545, 1455), rel=1e-9)
+    assert not res.initial_significant
+    assert res.index == -1
 
 
 @settings(max_examples=25, deadline=None)
@@ -578,6 +589,32 @@ def test_reversible_falls_back_without_exchangeability(fisher05):
     assert reversible(frame, mod, fisher05) == (
         not gfi_greedy(frame, mod, fisher05).unbounded
     )
+
+
+def test_custom_table_test_is_refused_exactly_and_searched_greedily(
+    fisher05, monkeypatch
+):
+    # the exact 2x2 machinery is Fisher-only: a custom table_p, even one
+    # that decides alike, gets an error from fi_2x2_exact and the greedy
+    # search from reversible
+    spec = scipy_fisher_test()
+    table = Table2x2(8, 2, 2, 8)
+    with pytest.raises(InvalidParameterError, match="Fisher"):
+        fi_2x2_exact(table, spec)
+    frame = frame_from_table(table)
+    mod = empirical_modifier(frame, 0.0)
+    with pytest.raises(InvalidParameterError, match="Fisher"):
+        reversible_2x2_exact(table, (1, 1, 1, 1), mod, spec)
+    calls = []
+    greedy = core.gfi_greedy
+    monkeypatch.setattr(core, "gfi_greedy", lambda *a, **kw: calls.append(a) or greedy(*a, **kw))
+    assert reversible(frame, mod, fisher05)
+    assert calls == []  # Fisher is answered exactly
+    assert reversible(frame, mod, spec)
+    assert len(calls) == 1
+    one = [0]
+    assert reversible(frame, mod, spec, one) == reversible(frame, mod, fisher05, one)
+    assert len(calls) == 2
 
 
 def test_reversible_2x2_exact_validation(table3, frame3, table2, frame2, fisher05):

@@ -10,16 +10,18 @@ and everything is summed as Fractions.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from conftest import ALPHA, ORACLE_KMAX, oracle_crossing, scipy_p
+from conftest import ALPHA, ORACLE_KMAX, oracle_crossing, scipy_fisher_test, scipy_p
+from fragility import stochastic
 from fragility.cases import Modifier, empirical_modifier, frame_from_table
-from fragility.core import _context_for, _modifier_cell_perms
+from fragility.core import UNBOUNDED, _context_for, _modifier_cell_perms, gfi_greedy
 from fragility.errors import InvalidParameterError
 from fragility.repro import _exact_prob_reversal
 from fragility.stats import Table2x2, _bracket_crossing
 from fragility.stochastic import (
+    COMPOSITION_GUARD,
     SgfiConfig,
     exact_sfi_2x2,
     probability_reversal,
@@ -80,6 +82,44 @@ def test_exact_sfi_unbounded_and_validation(table3, table2, frame2, mod0, fisher
         exact_sfi_2x2(table2, mod0, fisher05)  # modifier from another table
     with pytest.raises(InvalidParameterError):
         exact_sfi_2x2(table3, mod0, fisher05, r=0.999, max_k=5)
+
+
+def linear_scan_sfi(table, modifier, test, r, max_k):
+    """exact_sfi_2x2 as a scan over k = 1, 2, ...: (index, P[E_k],
+    P[E_(k-1)]) at the first k with P[E_k] > r; None once max_k is passed."""
+    ctx = _context_for(table, test, _modifier_cell_perms(modifier))
+    if not ctx.comp_reversible(table.as_tuple()):
+        return UNBOUNDED, None, None
+    prev = 0.0
+    for k in range(1, min(table.n, max_k) + 1):
+        pk = ctx.prob_reversal(k)
+        if pk > r:
+            return (k if ctx.sig0 else -k), pk, prev
+        prev = pk
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cells=hst.tuples(*[hst.integers(0, 16)] * 4),
+    q=hst.sampled_from([0.0, 0.25]),
+    r=hst.sampled_from([0.0, 0.1, 0.5, 0.9, 0.99]),
+    max_k=hst.one_of(hst.just(COMPOSITION_GUARD), hst.integers(0, 64)),
+)
+# the guard: the crossing lies past max_k
+@example(cells=(8, 2, 2, 8), q=0.0, r=0.9, max_k=1)
+@example(cells=(8, 2, 2, 8), q=0.0, r=0.0, max_k=0)
+def test_exact_sfi_matches_linear_scan(cells, q, r, max_k, fisher05):
+    assume(sum(cells) > 0)
+    table = Table2x2(*cells)
+    mod = empirical_modifier(frame_from_table(table), q)
+    want = linear_scan_sfi(table, mod, fisher05, r, max_k)
+    if want is None:
+        with pytest.raises(InvalidParameterError, match="guard"):
+            exact_sfi_2x2(table, mod, fisher05, r=r, max_k=max_k)
+        return
+    got = exact_sfi_2x2(table, mod, fisher05, r=r, max_k=max_k)
+    assert (got.index, got.p_at, got.p_below) == want
 
 
 def test_exact_sfi_monotone_in_r_and_q(table3, frame3, fisher05):
@@ -228,6 +268,33 @@ def test_sgfi_unbounded_precheck(fisher05):
     assert res.final_at is None and res.final_below is None
 
 
+def test_custom_table_test_takes_the_greedy_path(fisher05, monkeypatch):
+    # the exact 2x2 machinery is Fisher-only: a custom table_p, even one
+    # that decides alike, gets an error from exact_sfi_2x2 and the greedy
+    # search from sgfi
+    spec = scipy_fisher_test()
+    table = Table2x2(8, 2, 2, 8)
+    frame = frame_from_table(table)
+    mod = empirical_modifier(frame, 0.0)
+    with pytest.raises(InvalidParameterError, match="Fisher"):
+        exact_sfi_2x2(table, mod, spec)
+    calls = []
+    greedy = stochastic.gfi_greedy
+    monkeypatch.setattr(
+        stochastic, "gfi_greedy", lambda *a, **kw: calls.append(a) or greedy(*a, **kw)
+    )
+    assert sgfi(frame, mod, fisher05, SgfiConfig(r=0.5, trials=20, iterations=4)).index > 0
+    assert calls == []  # Fisher draws compositions
+    det = sgfi(frame, mod, spec, SgfiConfig(r=0.0))
+    assert det.index == gfi_greedy(frame, mod, spec).index
+    assert len(calls) == 1  # one greedy search, no second reversibility check
+    res = sgfi(frame, mod, spec, SgfiConfig(r=0.5, trials=20, iterations=4))
+    assert res.index > 0
+    assert len(calls) > 1 + 4 * 20  # a restricted search per trial
+    one = frame_from_table(Table2x2(1, 1, 1, 1))
+    assert sgfi(one, empirical_modifier(one, 0.0), spec).unbounded
+
+
 # --- the almost-sure index (r = "1-") -------------------------------------------
 
 
@@ -302,6 +369,17 @@ def test_worst_case_guard_refuses_large_frames(fisher05):
 
 
 # --- configuration --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"k": -1}, {"k": 1630}, {"trials": 0}, {"seed": -1}, {"threads": 0}],
+)
+def test_probability_reversal_validation(frame3, mod0, fisher05, kwargs):
+    args = {"k": 5, "trials": 10, "seed": 0, "threads": 1, **kwargs}
+    k = args.pop("k")
+    with pytest.raises(InvalidParameterError):
+        probability_reversal(k, frame3, mod0, fisher05, **args)
 
 
 @pytest.mark.parametrize(
