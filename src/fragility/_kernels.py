@@ -1,6 +1,7 @@
 """Hot numerical kernels, in vectorized numpy.
 
-Everything here works in log space off a shared table of log factorials;
+Everything here works in log space off a shared table of log factorials,
+math.lgamma(k + 1) per entry (numpy only: no scipy on the import path);
 decision thresholds that matter carry explicit slack instead of relying
 on bit equality.
 
@@ -16,8 +17,9 @@ Conventions shared by the callers:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 # log-pmf inclusion slack for the two-sided rule: a table enters the tail
 # sum when logpmf(x) <= logpmf(observed) + slack, where slack is the larger
@@ -28,9 +30,17 @@ _SLACK = 1e-12
 _ULPS = 32 * np.finfo(np.float64).eps
 
 
+def tie_rel(n: int) -> float:
+    """That slack as a relative tolerance between p-values of n-case tables:
+    the greedy step counts two candidates this close as tied."""
+    return max(_SLACK, _ULPS * math.lgamma(n + 1))
+
+
 def log_factorials(total: int) -> np.ndarray:
-    """lf with lf[k] = log(k!) for k = 0..total+1 (one row of headroom)."""
-    return gammaln(np.arange(total + 2, dtype=np.float64) + 1.0)
+    """lf with lf[k] = log(k!) = math.lgamma(k + 1) for k = 0..total+1 (one
+    row of headroom). Each entry is rounded on its own, within a few ulps;
+    a running sum of log k would let the error grow with k."""
+    return np.fromiter(map(math.lgamma, range(1, total + 3)), np.float64, total + 2)
 
 
 def fisher_p(lf, a, b, c, d):

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ._kernels import comp_prob, fisher_p, prefix_sums, rect_counts, reversal_grid
+from ._kernels import comp_prob, fisher_p, prefix_sums, rect_counts, reversal_grid, tie_rel
 from .cases import CaseFrame, ModificationPlan, Modifier, table_from_frame
 from .errors import InvalidParameterError, UnconvergedFitError
 from .stats import Table2x2, TestSpec, _fisher_table_p, _lf_cache, is_significant
@@ -405,6 +405,7 @@ def gfi_greedy(
 
     entries: list[tuple[int, str]] = []
     p_cur = p0
+    tie = tie_rel(frame.n)
     for step in range(1, frame.n + 1):
         if not tabular:
             rows = np.nonzero(available.any(axis=1))[0]
@@ -444,7 +445,7 @@ def gfi_greedy(
                     cands.append(
                         (float(p), int(frame.case_ids[r]), levels[m], int(r), int(m))
                     )
-        best = _select_candidate(cands, sig0)
+        best = _select_candidate(cands, sig0, tie)
         if best is None:
             if cands:
                 raise UnconvergedFitError(
@@ -484,25 +485,17 @@ def _moved(t: tuple[int, int, int, int], cell: int) -> tuple[int, int, int, int]
     return a, b, c + 1, d - 1
 
 
-def _select_candidate(cands, sig0):
+def _select_candidate(cands, sig0, tie):
     """Best candidate under the step objective with deterministic ties:
-    maximize p when initially significant, minimize otherwise; ties go to
-    the lowest case id, then the smallest outcome label. NaN p-values are
-    unusable and skipped."""
-    best = None
-    for cand in cands:
-        p, cid, label = cand[0], cand[1], cand[2]
-        if math.isnan(p):
-            continue
-        if best is None:
-            best = cand
-            continue
-        if p == best[0]:
-            if (cid, label) < (best[1], best[2]):
-                best = cand
-        elif (p > best[0]) if sig0 else (p < best[0]):
-            best = cand
-    return best
+    maximize p when initially significant, minimize otherwise. A p within
+    a relative `tie` of the best ties it (mirror-image tables have equal
+    exact Fisher p but round apart); ties go to the lowest case id, then
+    the smallest outcome label. NaN p-values are unusable and skipped."""
+    usable = [c for c in cands if not math.isnan(c[0])]
+    if not usable:
+        return None
+    best = max(c[0] for c in usable) if sig0 else min(c[0] for c in usable)
+    return min((c for c in usable if abs(c[0] - best) <= tie * best), key=lambda c: c[1:3])
 
 
 def reversible(

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
 from .core import UNBOUNDED, Index, is_unbounded
 from .errors import InvalidParameterError, ParseError, SchemaError
-from .stats import _bracket_crossing, hypergeom_sf
+from .stats import _bracket_crossing, _check_int, hypergeom_sf
 
 __all__ = [
     "StateTally",
@@ -199,8 +198,7 @@ def sgfi_half_closed_form(population: int, pool: int, switches: int) -> ClosedFo
     hypergeom_sf.
     """
     for name, v in (("population", population), ("pool", pool), ("switches", switches)):
-        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-            raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+        _check_int(name, v)
     population, pool, switches = int(population), int(pool), int(switches)
     if not 0 < pool <= population:
         raise InvalidParameterError("need 0 < pool <= population")

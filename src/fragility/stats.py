@@ -12,7 +12,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._kernels import fisher_p, log_factorials
 from .errors import InvalidParameterError, SingularDesignError, UnconvergedFitError
@@ -45,11 +44,7 @@ class Table2x2:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise InvalidParameterError(f"cell {name} must be an integer, got {v!r}")
-            if v < 0:
-                raise InvalidParameterError(f"cell {name} must be >= 0, got {v}")
+            _check_int(f"cell {name}", getattr(self, name))
         if self.n < 1:
             raise InvalidParameterError("table must contain at least one case")
 
@@ -92,12 +87,18 @@ def _lchoose(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _check_int(name: str, v, lo: int = 0) -> None:
+    """Refuse v unless it is an integer >= lo: Python and numpy integers
+    pass, bool and floats (even integral ones) do not."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+        raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+    if v < lo:
+        raise InvalidParameterError(f"{name} must be >= {lo}, got {v}")
+
+
 def _check_hypergeom_params(population, successes, draws):
     for name, v in (("population", population), ("successes", successes), ("draws", draws)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
-    if population < 0:
-        raise InvalidParameterError("population must be >= 0")
+        _check_int(name, v)
     if not 0 <= successes <= population:
         raise InvalidParameterError("need 0 <= successes <= population")
     if not 0 <= draws <= population:
@@ -301,7 +302,12 @@ def wald_p(fit: LogisticFit, index: int) -> float:
     if not np.isfinite(se) or se <= 0:
         raise UnconvergedFitError(f"no usable standard error for coefficient {index}")
     z = abs(fit.coefficients[index]) / se
-    return float(2.0 * ndtr(-z))
+    return _wald_tail(z)
+
+
+def _wald_tail(z: float) -> float:
+    """2 * Phi(-z) for z >= 0, NaN for NaN (erfc takes z / sqrt 2 as ndtr does)."""
+    return math.erfc(z * math.sqrt(0.5))
 
 
 def is_significant(p: float, alpha: float) -> bool:
@@ -470,7 +476,7 @@ class _LogisticFlipEval:
             cov = np.linalg.inv(info[good])
             se = np.sqrt(np.maximum(cov[:, 1, 1], 0.0))
             z = np.abs(beta[good, 1]) / np.where(se > 0, se, np.nan)
-            out[good] = 2.0 * ndtr(-z)
+            out[good] = [_wald_tail(v) for v in z]
         for i in np.flatnonzero(np.isnan(out)):
             y2 = y.copy()
             y2[rows[i]] = 1.0 - y2[rows[i]]

@@ -35,7 +35,7 @@ from .core import (
     is_unbounded,
 )
 from .errors import DiagnosticError, InvalidParameterError
-from .stats import Table2x2, TestSpec, _bracket_crossing, _lchoose, is_significant
+from .stats import Table2x2, TestSpec, _bracket_crossing, _check_int, _lchoose, is_significant
 
 __all__ = [
     "ReversalEstimate",
@@ -95,22 +95,15 @@ class SgfiConfig:
                 raise InvalidParameterError(f"r must be in [0, 1) or '1-', got {self.r!r}")
         elif not 0.0 <= float(self.r) < 1.0:
             raise InvalidParameterError(f"r must be in [0, 1) or '1-', got {self.r!r}")
-        if self.trials < 1:
-            raise InvalidParameterError("trials must be >= 1")
-        if self.iterations < 2:
-            raise InvalidParameterError("iterations must be >= 2")
+        for name, lo in (("trials", 1), ("iterations", 2), ("confirm_factor", 1), ("seed", 0),
+                         ("threads", 1)):
+            _check_int(name, getattr(self, name), lo)
         if self.step_scale is not None and self.step_scale <= 0:
             raise InvalidParameterError("step_scale must be positive")
         if not 0.5 < self.gamma <= 1.0:
             raise InvalidParameterError("gamma must lie in (0.5, 1]")
         if not 0.0 <= self.burn_in < 1.0:
             raise InvalidParameterError("burn_in must lie in [0, 1)")
-        if self.confirm_factor < 1:
-            raise InvalidParameterError("confirm_factor must be >= 1")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be >= 0")
-        if self.threads < 1:
-            raise InvalidParameterError("threads must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,14 +209,11 @@ def probability_reversal(
     depend only on (inputs, seed, trials). threads is accepted and
     validated but has no effect.
     """
-    if not 0 <= k <= frame.n:
+    for name, v, lo in (("k", k, 0), ("trials", trials, 1), ("seed", seed, 0),
+                        ("threads", threads, 1)):
+        _check_int(name, v, lo)
+    if k > frame.n:
         raise InvalidParameterError(f"k must lie in [0, {frame.n}], got {k}")
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
-    if seed < 0:
-        raise InvalidParameterError("seed must be >= 0")
-    if threads < 1:
-        raise InvalidParameterError("threads must be >= 1")
     return _ReversalSampler(frame, modifier, test).estimate(k, trials, seed)
 
 
@@ -429,6 +419,7 @@ def exact_sfi_2x2(
     if isinstance(r, str) or not 0.0 <= float(r) < 1.0:
         raise InvalidParameterError(f"r must lie in [0, 1), got {r!r}")
     r = float(r)
+    _check_int("max_k", max_k)
     if _modifier_table(modifier).as_tuple() != table.as_tuple():
         raise InvalidParameterError("modifier was built over a different table")
     ctx = _context_for(table, test, _modifier_cell_perms(modifier))

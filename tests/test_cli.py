@@ -342,14 +342,30 @@ def test_human_lines_after_a_json_call(capsys, monkeypatch):
     assert loud[1] == GOLDEN[0][1]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs tens of MB and most of a second to import; only the
-    # hypergeometric tails load it, on first use
+NO_SCIPY = "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs most of a second to import; only the hypergeometric tails
+    # load it, on first use
+    env = dict(os.environ, PYTHONPATH=str(Path(fragility.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", "import fragility, fragility.cli, sys; " + NO_SCIPY],
+        env=env, check=True,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["fi", "--table", T3],
+    ["gfi", "--table", T3, "--q", "0.25"],
+    ["sgfi", "--table", "8,2,2,8", "-B", "50", "-T", "10"],
+])
+def test_one_shot_table_commands_leave_scipy_unloaded(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(fragility.__file__).parents[1]))
     subprocess.run(
         [sys.executable, "-c",
-         "import fragility.cli, sys; assert 'scipy.stats' not in sys.modules"],
-        env=env, check=True,
+         f"import sys; from fragility.cli import main; assert main({argv!r}) == 0; " + NO_SCIPY],
+        env=env, check=True, stdout=subprocess.DEVNULL,
     )
 
 

@@ -8,6 +8,7 @@ shifts.
 
 import dataclasses
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -36,6 +37,7 @@ from fragility.cases import (
     frame_from_table,
     table_from_frame,
 )
+from fragility._kernels import tie_rel
 from fragility.core import (
     UNBOUNDED,
     FragilityResult,
@@ -138,6 +140,19 @@ def test_fi_keeps_the_mirror_tie_on_a_large_table(fisher05):
     assert res.p_before == pytest.approx(scipy_p(490, 1510, 545, 1455), rel=1e-9)
     assert not res.initial_significant
     assert res.index == -1
+
+
+def test_gfi_greedy_breaks_a_mirror_tie_by_case_id(fisher05):
+    # (7, 3, 2, 8) and (8, 2, 3, 7) have one exact p but round an ulp or
+    # two apart; the tie goes to the lowest case id: case 0, in arm 1
+    frame = frame_from_table(Table2x2(8, 2, 2, 8))
+    res = gfi_greedy(frame, empirical_modifier(frame, 0.0), fisher05)
+    assert res.index == 1
+    assert res.plan.entries == ((0, frame.outcome_levels[1]),)
+    near = [(0.5 * (1 + 1e-14), 7, "x"), (0.5, 3, "x"), (0.49, 1, "x"), (math.nan, 0, "x")]
+    assert _select_candidate(near, True, 1e-12)[1] == 3
+    assert _select_candidate(near, True, 0.0)[1] == 7
+    assert _select_candidate(near, False, 1e-12)[1] == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -426,7 +441,7 @@ def per_case_greedy(frame, modifier, test, restriction=None):
                 moved[cell ^ 1] += 1
                 cands.append((test.table_p(*moved), int(frame.case_ids[r]),
                               frame.outcome_levels[m], r, m))
-        best = _select_candidate(cands, sig0)
+        best = _select_candidate(cands, sig0, tie_rel(frame.n))
         if best is None:
             break
         p_new, cid, label, r, m = best

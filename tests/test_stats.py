@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from conftest import NEAR_SEPARATED, cold_wald_p, covariate_frame, random_covariate_frame
+from fragility import stats
+from fragility._kernels import log_factorials
 from fragility.errors import (
     InvalidParameterError,
     SingularDesignError,
@@ -243,6 +245,60 @@ def test_wald_edge_value():
         deviance=1.0,
     )
     assert wald_p(fit, 1) == pytest.approx(0.05, abs=1e-6)
+
+
+# --- numpy-only special functions against scipy.special -------------------------
+
+
+def test_log_factorials_match_gammaln():
+    from scipy.special import gammaln
+
+    lf = log_factorials(20000)
+    want = gammaln(np.arange(20002, dtype=np.float64) + 1.0)
+    assert lf.shape == want.shape and lf[0] == lf[1] == 0.0
+    # a few ulps of log n!, far inside fisher_p's 32-ulp tie slack
+    assert np.max(np.abs(lf - want)) <= 4 * np.spacing(want[-1])
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-9, 0.3, 1.0, 1.959964, 3.7, 8.0, 19.5, 37.0, math.nan])
+def test_wald_p_matches_ndtr(z):
+    from scipy.special import ndtr
+
+    fit = LogisticFit(
+        coefficients=np.array([0.0, -z]),
+        standard_errors=np.array([1.0, 1.0]),
+        converged=True,
+        separated=False,
+        iterations=3,
+        deviance=1.0,
+    )
+    want = float(2.0 * ndtr(-z))
+    got = wald_p(fit, 1)
+    assert (math.isnan(got) and math.isnan(want)) or got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 30])
+def test_batched_flips_match_ndtr_tail(seed, monkeypatch):
+    """Batched refit p-values against the same refits with scipy's 2 * ndtr(-z):
+    the tail is the only change, NaN z stays NaN and goes to the cold refit."""
+    from scipy.special import ndtr
+
+    frame = covariate_frame(**NEAR_SEPARATED) if seed is None else random_covariate_frame(seed, 8, 24)
+    y = frame.outcome_codes.astype(np.float64)
+    rows = np.arange(frame.n)
+
+    def flip_ps():
+        ev = logistic_wald_test(("x",)).make_fast_eval(frame)
+        ev.refit(y)
+        return ev.p_after_flips(y, rows)
+
+    assert math.isnan(stats._wald_tail(math.nan))
+    got = flip_ps()
+    monkeypatch.setattr(stats, "_wald_tail", lambda z: float(2.0 * ndtr(-z)))
+    want = flip_ps()
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    np.testing.assert_allclose(got[ok], want[ok], rtol=1e-13, atol=0)
 
 
 # --- test specs ---------------------------------------------------------------

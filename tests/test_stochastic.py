@@ -9,6 +9,7 @@ and everything is summed as Fractions.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
@@ -82,6 +83,9 @@ def test_exact_sfi_unbounded_and_validation(table3, table2, frame2, mod0, fisher
         exact_sfi_2x2(table2, mod0, fisher05)  # modifier from another table
     with pytest.raises(InvalidParameterError):
         exact_sfi_2x2(table3, mod0, fisher05, r=0.999, max_k=5)
+    for bad in (2.5, 40.0, True):
+        with pytest.raises(InvalidParameterError, match="max_k must be an integer"):
+            exact_sfi_2x2(table3, mod0, fisher05, max_k=bad)
 
 
 def linear_scan_sfi(table, modifier, test, r, max_k):
@@ -373,7 +377,9 @@ def test_worst_case_guard_refuses_large_frames(fisher05):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"k": -1}, {"k": 1630}, {"trials": 0}, {"seed": -1}, {"threads": 0}],
+    [{"k": -1}, {"k": 1630}, {"trials": 0}, {"seed": -1}, {"threads": 0},
+     {"seed": 0.5}, {"trials": 2.5}, {"trials": 10.0}, {"seed": True}, {"k": 2.5},
+     {"threads": 1.0}],
 )
 def test_probability_reversal_validation(frame3, mod0, fisher05, kwargs):
     args = {"k": 5, "trials": 10, "seed": 0, "threads": 1, **kwargs}
@@ -397,8 +403,25 @@ def test_probability_reversal_validation(frame3, mod0, fisher05, kwargs):
         {"confirm_factor": 0},
         {"seed": -1},
         {"threads": 0},
+        {"seed": 0.5},
+        {"trials": 2.5},
+        {"trials": 200.0},
+        {"iterations": 10.5},
+        {"confirm_factor": 2.0},
+        {"confirm_factor": True},
+        {"seed": False},
+        {"threads": 1.0},
     ],
 )
 def test_sgfi_config_validation(kwargs):
     with pytest.raises(InvalidParameterError):
         SgfiConfig(**kwargs)
+
+
+def test_knobs_accept_numpy_integers(frame3, mod0, fisher05):
+    knobs = dict(trials=np.int64(10), iterations=np.int32(5), confirm_factor=np.uint8(2),
+                 seed=np.uint64(7), threads=np.int16(1))
+    assert SgfiConfig(**knobs).seed == 7
+    est = probability_reversal(np.int64(5), frame3, mod0, fisher05, trials=np.int32(10),
+                               seed=np.uint64(7), threads=np.int8(1))
+    assert est == probability_reversal(5, frame3, mod0, fisher05, trials=10, seed=7)
