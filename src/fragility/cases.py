@@ -155,13 +155,13 @@ def apply_plan(frame: CaseFrame, plan: ModificationPlan) -> CaseFrame:
     seen: set[int] = set()
     codes = np.array(frame.outcome_codes, dtype=np.int64)
     level_index = {lvl: k for k, lvl in enumerate(frame.outcome_levels)}
-    for cid, new in plan.entries:
+    positions = frame.positions_of(plan.case_ids).tolist()
+    for (cid, new), pos in zip(plan.entries, positions):
         if cid in seen:
             raise InvalidParameterError(f"case {cid} modified more than once")
         seen.add(cid)
         if new not in level_index:
             raise InvalidParameterError(f"unknown outcome level {new!r}")
-        pos = int(frame.positions_of([cid])[0])
         if codes[pos] == level_index[new]:
             raise InvalidParameterError(f"case {cid}: plan entry is not a change")
         codes[pos] = level_index[new]
@@ -170,11 +170,9 @@ def apply_plan(frame: CaseFrame, plan: ModificationPlan) -> CaseFrame:
 
 def reverse_plan(frame: CaseFrame, plan: ModificationPlan) -> ModificationPlan:
     """Plan that undoes `plan` on apply_plan(frame, plan)."""
-    entries = []
-    for cid, _ in plan.entries:
-        pos = int(frame.positions_of([cid])[0])
-        entries.append((cid, frame.outcome_levels[frame.outcome_codes[pos]]))
-    return ModificationPlan(tuple(entries))
+    codes = frame.outcome_codes[frame.positions_of(plan.case_ids)]
+    levels = frame.outcome_levels
+    return ModificationPlan(tuple((cid, levels[k]) for cid, k in zip(plan.case_ids, codes)))
 
 
 def frame_from_table(table: Table2x2) -> CaseFrame:

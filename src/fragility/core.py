@@ -20,7 +20,9 @@ import numpy as np
 from ._kernels import comp_prob, fisher_p, prefix_sums, rect_counts, reversal_grid, tie_rel
 from .cases import CaseFrame, ModificationPlan, Modifier, table_from_frame
 from .errors import InvalidParameterError, UnconvergedFitError
-from .stats import Table2x2, TestSpec, _fisher_table_p, _lf_cache, is_significant
+from .stats import (
+    Table2x2, TestSpec, _fisher_table_p, _lf_cache, _TableFlipEval, is_significant,
+)
 
 __all__ = [
     "UNBOUNDED",
@@ -366,105 +368,57 @@ def gfi_greedy(
     label), until the decision flips or candidates run out (UNBOUNDED).
     restriction limits the modifiable cases to the given ids.
 
-    On a binary two-arm frame under a table test, every flip out of a cell
-    gives the same table, so each step scores at most four tables, once
-    per cell, and offers that cell's lowest available case id.
+    Each step scores every available change. On a binary frame a flip
+    evaluator scores them in one batch: _TableFlipEval over table_p when
+    the frame has at most two arms, else the test's make_fast_eval; its
+    refit of the chosen change gives the step's p. Otherwise each change
+    is scored by p_value, NaN where the fit does not converge.
     """
     if modifier.probs.shape[0] != frame.n:
         raise InvalidParameterError("modifier was built for a different frame")
     levels = frame.outcome_levels
-    L = len(levels)
+    binary = len(levels) == 2
     y = np.array(frame.outcome_codes)
-    tabular = (
-        test.table_p is not None and len(frame.arm_levels) <= 2 and L == 2
-    )
-    fast_eval = None
-    if not tabular and test.make_fast_eval is not None and L == 2:
-        # one exact fit gives p0 and the warm start of the batched refits
-        fast_eval = test.make_fast_eval(frame)
-        p0 = fast_eval.refit(y.astype(np.float64))
-    else:
-        p0 = test.p_value(frame)
+    ev = None
+    if binary and test.table_p is not None and len(frame.arm_levels) <= 2:
+        ev = _TableFlipEval(frame, test.table_p)
+    elif binary and test.make_fast_eval is not None:
+        ev = test.make_fast_eval(frame)
+    # the evaluator's exact refit gives p0 and the logistic warm start
+    p0 = test.p_value(frame) if ev is None else ev.refit(y)
     sig0 = is_significant(p0, test.alpha)
     allowed = np.zeros(frame.n, dtype=bool)
     if restriction is None:
         allowed[:] = True
     else:
         allowed[frame.positions_of(restriction)] = True
-
     available = modifier.permitted_matrix() & allowed[:, None]
-    if tabular:
-        t = table_from_frame(frame).as_tuple()
-        # each cell's candidates in case-id order; a step offers the heads
-        rows = np.nonzero(available[np.arange(frame.n), 1 - y])[0]
-        cells = frame.arm_codes[rows] * 2 + y[rows]
-        queue = rows[np.lexsort((frame.case_ids[rows], cells))]
-        sizes = np.bincount(cells, minlength=4)
-        ends = np.cumsum(sizes)
-        heads, ends = (ends - sizes).tolist(), ends.tolist()
+    available[np.arange(frame.n), y] = False  # only real changes
+    # the rank of each level's label among the sorted labels
+    label_rank = np.argsort(sorted(range(len(levels)), key=levels.__getitem__))
 
     entries: list[tuple[int, str]] = []
-    p_cur = p0
     tie = tie_rel(frame.n)
     for step in range(1, frame.n + 1):
-        if not tabular:
-            rows = np.nonzero(available.any(axis=1))[0]
-            if rows.size == 0:
-                break
-        cands: list[tuple[float, int, str, int, int]] = []
-        if tabular:
-            for cell in range(4):
-                if heads[cell] < ends[cell]:
-                    r = int(queue[heads[cell]])
-                    m = 1 - cell % 2  # binary: the only candidate level
-                    cands.append((test.table_p(*_moved(t, cell)),
-                                  int(frame.case_ids[r]), levels[m], r, m))
-        elif fast_eval is not None:
-            targets = 1 - y[rows]
-            usable = available[rows, targets]
-            rows = rows[usable]
-            if rows.size:
-                ps = fast_eval.p_after_flips(y.astype(np.float64), rows)
-                for p, r in zip(ps, rows):
-                    m = 1 - y[r]
-                    cands.append(
-                        (float(p), int(frame.case_ids[r]), levels[m], int(r), int(m))
-                    )
-        else:
-            for r in rows:
-                for m in range(L):
-                    if not available[r, m]:
-                        continue
-                    y2 = np.array(y)
-                    y2[r] = m
-                    try:
-                        p = test.p_value(frame.replace_outcomes(y2))
-                    except UnconvergedFitError:
-                        # unusable, as in the batched branch: skipped below
-                        p = math.nan
-                    cands.append(
-                        (float(p), int(frame.case_ids[r]), levels[m], int(r), int(m))
-                    )
-        best = _select_candidate(cands, sig0, tie)
-        if best is None:
-            if cands:
-                raise UnconvergedFitError(
-                    "no candidate modification produced a usable p-value"
-                )
+        rows, ms = np.nonzero(available)
+        if rows.size == 0:
             break
-        p_new, cid, label, r, m = best
-        if tabular:
-            cell = int(frame.arm_codes[r] * 2 + y[r])
-            t = _moved(t, cell)
-            heads[cell] += 1
+        if ev is not None:
+            ps = ev.p_after_flips(y, rows)  # binary: ms is 1 - y[rows]
+        else:
+            ps = np.array([_flip_p(frame, test, y, r, m) for r, m in zip(rows, ms)])
+        k = _select_candidate(ps, frame.case_ids[rows], label_rank[ms], sig0, tie)
+        if k is None:
+            raise UnconvergedFitError(
+                "no candidate modification produced a usable p-value"
+            )
+        r, m = rows[k], ms[k]
         y[r] = m
         available[r, :] = False
-        entries.append((cid, label))
-        if fast_eval is not None:
-            # exact refit: authoritative p for the decision check, and the
-            # warm start for the next step
-            p_new = fast_eval.refit(y.astype(np.float64))
-        p_cur = p_new
+        entries.append((int(frame.case_ids[r]), levels[m]))
+        # an evaluator's exact refit is the authoritative p and the warm
+        # start of the next step
+        p_cur = float(ps[k]) if ev is None else ev.refit(y)
         if is_significant(p_cur, test.alpha) != sig0:
             index = step if sig0 else -step
             return FragilityResult(
@@ -473,29 +427,29 @@ def gfi_greedy(
     return FragilityResult(UNBOUNDED, ModificationPlan(()), sig0, p0, None)
 
 
-def _moved(t: tuple[int, int, int, int], cell: int) -> tuple[int, int, int, int]:
-    """Counts after moving one case out of `cell` to its opposite outcome."""
-    a, b, c, d = t
-    if cell == 0:
-        return a - 1, b + 1, c, d
-    if cell == 1:
-        return a + 1, b - 1, c, d
-    if cell == 2:
-        return a, b, c - 1, d + 1
-    return a, b, c + 1, d - 1
+def _flip_p(frame: CaseFrame, test: TestSpec, y: np.ndarray, r: int, m: int) -> float:
+    """p_value after changing row r to outcome code m; NaN when unconverged."""
+    y2 = y.copy()
+    y2[r] = m
+    try:
+        return test.p_value(frame.replace_outcomes(y2))
+    except UnconvergedFitError:
+        return math.nan
 
 
-def _select_candidate(cands, sig0, tie):
-    """Best candidate under the step objective with deterministic ties:
-    maximize p when initially significant, minimize otherwise. A p within
-    a relative `tie` of the best ties it (mirror-image tables have equal
-    exact Fisher p but round apart); ties go to the lowest case id, then
-    the smallest outcome label. NaN p-values are unusable and skipped."""
-    usable = [c for c in cands if not math.isnan(c[0])]
-    if not usable:
+def _select_candidate(ps, case_ids, label_rank, sig0, tie):
+    """Index of the best candidate under the step objective, None when
+    every p is NaN (unusable): maximize p when initially significant,
+    minimize otherwise. A p within a relative `tie` of the best ties it
+    (mirror-image tables have equal exact Fisher p but round apart); ties
+    go to the lowest case id, then the smallest outcome label."""
+    best = np.fmax.reduce(ps) if sig0 else np.fmin.reduce(ps)  # NaN only if all are
+    if np.isnan(best):
         return None
-    best = max(c[0] for c in usable) if sig0 else min(c[0] for c in usable)
-    return min((c for c in usable if abs(c[0] - best) <= tie * best), key=lambda c: c[1:3])
+    tied = np.flatnonzero(np.abs(ps - best) <= tie * best)
+    cid = case_ids[tied]
+    tied = tied[cid == cid.min()]
+    return tied[np.argmin(label_rank[tied])]
 
 
 def reversible(

@@ -45,10 +45,8 @@ class StateTally:
     def __post_init__(self):
         for field_name in ("votes_a", "votes_b", "nonvoters", "electors"):
             v = getattr(self, field_name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise InvalidParameterError(
-                    f"{self.name}: {field_name} must be a nonnegative integer, got {v!r}"
-                )
+            _check_int(f"{self.name}: {field_name}", v)
+            object.__setattr__(self, field_name, int(v))  # numpy integers too
         if self.electors < 1:
             raise InvalidParameterError(f"{self.name}: electors must be >= 1")
 

@@ -324,14 +324,16 @@ class TestSpec:
     """A decision rule: p_value over a case frame plus the alpha threshold.
 
     table_p, when present, evaluates the same test straight from 2x2 cell
-    counts, which lets the greedy search score a step by cell. The exact
+    counts; on a binary frame with at most two arms the greedy search
+    scores its flips through _TableFlipEval over table_p. The exact
     exchangeable-table machinery is Fisher-only: it serves the tests whose
     table_p is fisher_test's, and a custom table_p takes the greedy path.
     make_fast_eval, when present, builds a per-frame evaluator for the
-    greedy search: refit(y) gives p_value of the frame with outcomes y, and
-    p_after_flips(y, rows) the p-value after flipping each row in turn,
-    computed in one batch; both match p_value up to solver tolerance, NaN
-    where its fit is unusable.
+    greedy search on other binary frames. An evaluator has refit(y), the
+    p_value of the frame with outcome codes y, and p_after_flips(y, rows),
+    the p-value after flipping each row in turn, computed in one batch;
+    both match p_value up to solver tolerance, NaN where its fit is
+    unusable.
     """
 
     name: str
@@ -372,6 +374,36 @@ def _design_matrix(frame: "CaseFrame", covariates: Sequence[str]) -> np.ndarray:
             raise InvalidParameterError(f"unknown covariate {name!r}")
         cols.append(frame.covariates[name])
     return np.column_stack(cols)
+
+
+class _TableFlipEval:
+    """Single-flip p-values of a 2x2 table test for the greedy search.
+
+    Every flip out of a cell moves the table the same way, so a batch
+    scores at most four moved tables, one per cell that has a candidate,
+    and each candidate gets its cell's p.
+    """
+
+    def __init__(self, frame: "CaseFrame", table_p: Callable[[int, int, int, int], float]):
+        self._arm2 = 2 * frame.arm_codes  # cell = 2 * arm + outcome
+        self._table_p = table_p
+
+    def refit(self, y: np.ndarray) -> float:
+        """p of the table with outcome codes y."""
+        return self._table_p(*np.bincount(self._arm2 + y, minlength=4).tolist())
+
+    def p_after_flips(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """p after flipping outcome y[r] for each candidate row r."""
+        cell_of = self._arm2 + y
+        counts = np.bincount(cell_of, minlength=4)
+        cells = cell_of[rows]
+        p_cell = np.empty(4)
+        for cell in np.flatnonzero(np.bincount(cells, minlength=4)).tolist():
+            moved = counts.copy()
+            moved[cell] -= 1
+            moved[cell ^ 1] += 1
+            p_cell[cell] = self._table_p(*moved.tolist())
+        return p_cell[cells]
 
 
 class _LogisticFlipEval:
@@ -428,6 +460,7 @@ class _LogisticFlipEval:
         converge. Candidates with the same covariates and outcome have the
         same refit: the first of them is evaluated and its p copied, so
         they tie exactly."""
+        y = np.asarray(y, dtype=np.float64)
         m = rows.size
         key = 2 * self._row_group[rows] + y[rows].astype(np.int64)
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)

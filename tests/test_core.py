@@ -27,9 +27,10 @@ from conftest import (
     scipy_fisher_test,
     scipy_p,
 )
-from fragility import core
+from fragility import core, stats
 from fragility._kernels import fisher_p, log_factorials, reversal_grid
 from fragility.cases import (
+    CaseFrame,
     ModificationPlan,
     Modifier,
     apply_plan,
@@ -149,10 +150,38 @@ def test_gfi_greedy_breaks_a_mirror_tie_by_case_id(fisher05):
     res = gfi_greedy(frame, empirical_modifier(frame, 0.0), fisher05)
     assert res.index == 1
     assert res.plan.entries == ((0, frame.outcome_levels[1]),)
-    near = [(0.5 * (1 + 1e-14), 7, "x"), (0.5, 3, "x"), (0.49, 1, "x"), (math.nan, 0, "x")]
-    assert _select_candidate(near, True, 1e-12)[1] == 3
-    assert _select_candidate(near, True, 0.0)[1] == 7
-    assert _select_candidate(near, False, 1e-12)[1] == 1
+    ps = np.array([0.5 * (1 + 1e-14), 0.5, 0.49, math.nan])
+    ids = np.array([7, 3, 1, 0])
+    ranks = np.zeros(4, dtype=np.int64)
+    assert ids[_select_candidate(ps, ids, ranks, True, 1e-12)] == 3  # within the window
+    assert ids[_select_candidate(ps, ids, ranks, True, 0.0)] == 7  # zero tolerance
+    assert ids[_select_candidate(ps, ids, ranks, False, 1e-12)] == 1  # NaN skipped
+    assert _select_candidate(ps[3:], ids[3:], ranks[3:], True, 1e-12) is None
+    # one case's tied changes go to the smallest label rank
+    same = np.array([0.5, 0.5, 0.5])
+    assert _select_candidate(same, np.array([4, 2, 2]), np.array([0, 2, 1]), True, 0.0) == 2
+
+
+@pytest.mark.parametrize("row, want", [(0, "x"), (1, "y")])
+def test_gfi_greedy_breaks_a_label_tie_by_label(row, want):
+    """Levels appear as ("z", "x", "y"). Only case `row` may change, and
+    its two changes give the same p, so the smaller label wins: "x" over
+    "y" from "z", and "y" over "z" from "x", though "z" has the smaller
+    level code. Flip evaluators serve binary outcomes only, where a case
+    has a single candidate change, so only the per-case path meets this
+    tie."""
+    frame = CaseFrame.from_columns(["a", "a", "b"], ["z", "x", "y"])
+    assert frame.outcome_levels == ("z", "x", "y")
+    code = frame.outcome_codes[row]
+
+    def p_value(f):
+        return 0.01 if f.outcome_codes[row] == code else 0.5
+
+    spec = stats.TestSpec("row_moved", 0.05, p_value)
+    mod = Modifier.from_model(frame, 0.5, lambda r, level: float(r["case_id"] == row))
+    res = gfi_greedy(frame, mod, spec)
+    assert res.index == 1
+    assert res.plan.entries == ((row, want),)
 
 
 @settings(max_examples=25, deadline=None)
@@ -419,8 +448,19 @@ def test_greedy_never_beats_exact(a, b, c, d, fisher05):
         assert (greedy.index > 0) == (exact.index > 0)
 
 
+def tuple_select(cands, sig0, tie):
+    """The step's tie rule over (p, case id, label, ...) tuples, kept apart
+    from the library's array form: the best p, then every p within a
+    relative `tie` of it, lowest case id, smallest label; NaN skipped."""
+    usable = [c for c in cands if not math.isnan(c[0])]
+    if not usable:
+        return None
+    best = max(c[0] for c in usable) if sig0 else min(c[0] for c in usable)
+    return min((c for c in usable if abs(c[0] - best) <= tie * best), key=lambda c: c[1:3])
+
+
 def per_case_greedy(frame, modifier, test, restriction=None):
-    """The tabular greedy search with one candidate per available case,
+    """The table-test greedy search with one candidate per available case,
     each scored by the p of its moved table."""
     y = np.array(frame.outcome_codes)
     p0 = test.p_value(frame)
@@ -441,7 +481,7 @@ def per_case_greedy(frame, modifier, test, restriction=None):
                 moved[cell ^ 1] += 1
                 cands.append((test.table_p(*moved), int(frame.case_ids[r]),
                               frame.outcome_levels[m], r, m))
-        best = _select_candidate(cands, sig0, tie_rel(frame.n))
+        best = tuple_select(cands, sig0, tie_rel(frame.n))
         if best is None:
             break
         p_new, cid, label, r, m = best
@@ -481,6 +521,9 @@ def test_gfi_greedy_scores_cells_like_cases(cells, q, order, restriction, fisher
     mod = empirical_modifier(frame, q)
     got = gfi_greedy(frame, mod, fisher05, restriction)
     assert got == per_case_greedy(frame, mod, fisher05, restriction)
+    # without table_p every change is scored by p_value of its frame
+    per_case = dataclasses.replace(fisher05, table_p=None)
+    assert gfi_greedy(frame, mod, per_case, restriction) == got
 
 
 # --- subset reversibility -------------------------------------------------------

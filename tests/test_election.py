@@ -142,7 +142,12 @@ def test_state_tally_validation():
         st("zero electors", 1, 2, 3, 0)
     with pytest.raises(InvalidParameterError):
         StateTally(name="f", votes_a=1.5, votes_b=2, nonvoters=3, electors=1)
+    with pytest.raises(InvalidParameterError):
+        st("bool", True, 2, 3, 1)
     assert st("ok", 10, 20, 30, 2).eligible == 60
+    numpy_ints = st("np", np.int64(5), np.int32(3), np.uint8(1), np.int64(3))
+    assert numpy_ints == st("np", 5, 3, 1, 3)
+    assert type(numpy_ints.votes_a) is int
 
 
 # --- the bundled race -----------------------------------------------------------
