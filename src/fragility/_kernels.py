@@ -84,10 +84,13 @@ def reversal_grid(lf, a, b, c, d, alpha, sig0, gi_lo, gi_hi, gj_lo, gj_hi):
     return out
 
 
-def comp_prob(lf, prefix, a, b, c, d, k, pa, pb, pc, pd, gi_lo, gj_lo):
+def comp_prob(lf, prefix, a, b, c, d, k, sign, gi_lo, gj_lo):
     """Exact P[a uniform k-subset admits a permitted reversal]: the
     multivariate hypergeometric pmf summed over the 4-cell compositions
-    whose permitted-shift rectangle contains a reversing cell."""
+    whose permitted-shift rectangle contains a reversing cell. A
+    composition (k1, k2, k3, k4) spans the shifts from sign[0] * k1 to
+    sign[1] * k2 in i and sign[2] * k3 to sign[3] * k4 in j."""
+    sa, sb, sc, sd = sign
     # chunked over k1 so memory stays O(k^2)
     n = a + b + c + d
     lbase = lf[n] - lf[k] - lf[n - k]
@@ -103,10 +106,10 @@ def comp_prob(lf, prefix, a, b, c, d, k, pa, pb, pc, pd, gi_lo, gj_lo):
         k2v = k2v[valid]
         k3v = k3v[valid]
         k4v = k4[valid]
-        i0 = (-k1 if pa else 0) - gi_lo
-        i1 = (k2v if pb else np.zeros_like(k2v)) - gi_lo
-        j0 = (-k3v if pc else np.zeros_like(k3v)) - gj_lo
-        j1 = (k4v if pd else np.zeros_like(k4v)) - gj_lo
+        i0 = sa * k1 - gi_lo
+        i1 = sb * k2v - gi_lo
+        j0 = sc * k3v - gj_lo
+        j1 = sd * k4v - gj_lo
         hit = rect_counts(prefix, i0, i1, j0, j1) > 0
         if not hit.any():
             continue

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -339,6 +339,33 @@ def empirical_modifier(frame: CaseFrame, q: float) -> Modifier:
     )
 
 
+def _csv_rows(path: str, columns: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """(1-based data row, row dict) for each data row of a UTF-8 CSV with a
+    header row, once the header holds `columns`. A byte-order mark is
+    skipped. An empty file or a missing column raises SchemaError;
+    undecodable bytes and unreadable fields, such as one past the csv
+    module's field limit, raise ParseError, naming the data row when the
+    reader knows it."""
+    row = None  # the data row being read; None while reading the header
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise SchemaError(f"{path}: empty file")
+            missing = [c for c in columns if c not in reader.fieldnames]
+            if missing:
+                raise SchemaError(f"{path}: missing columns {missing}")
+            row = 1
+            for record in reader:
+                yield row, record
+                row += 1
+    except UnicodeDecodeError as e:
+        # the decoder reads ahead of the csv reader, so no row is known
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except csv.Error as e:
+        raise ParseError(f"{e} in {path}", row=row) from None
+
+
 def load_csv(
     path: str,
     arm: str,
@@ -349,42 +376,35 @@ def load_csv(
 
     Declared covariate columns are parsed as floats; parse failures and
     non-finite values (nan, inf) raise ParseError naming the 1-based data
-    row, missing columns raise SchemaError.
+    row, missing columns raise SchemaError. A byte-order mark is skipped;
+    bytes that are not UTF-8 and fields past the csv module's size limit
+    raise ParseError.
     """
     covariates = tuple(covariates)
     arms: list[str] = []
     outcomes: list[str] = []
     covs: dict[str, list[float]] = {name: [] for name in covariates}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file")
-        missing = [
-            c for c in (arm, outcome, *covariates) if c not in reader.fieldnames
-        ]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {missing}")
-        for rownum, row in enumerate(reader, start=1):
-            a = row.get(arm)
-            o = row.get(outcome)
-            if a is None or o is None or a == "" or o == "":
-                raise ParseError(f"missing {arm!r} or {outcome!r} value", row=rownum)
-            arms.append(a)
-            outcomes.append(o)
-            for name in covariates:
-                raw = row.get(name)
-                if raw is None or raw == "":
-                    raise ParseError(f"missing covariate {name!r}", row=rownum)
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"covariate {name!r} value {raw!r} is not a finite number",
-                        row=rownum,
-                    )
-                covs[name].append(value)
+    for rownum, row in _csv_rows(path, (arm, outcome, *covariates)):
+        a = row.get(arm)
+        o = row.get(outcome)
+        if a is None or o is None or a == "" or o == "":
+            raise ParseError(f"missing {arm!r} or {outcome!r} value", row=rownum)
+        arms.append(a)
+        outcomes.append(o)
+        for name in covariates:
+            raw = row.get(name)
+            if raw is None or raw == "":
+                raise ParseError(f"missing covariate {name!r}", row=rownum)
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"covariate {name!r} value {raw!r} is not a finite number",
+                    row=rownum,
+                )
+            covs[name].append(value)
     if not arms:
         raise DataError(f"{path}: no data rows")
     return CaseFrame.from_columns(arms, outcomes, covs)

@@ -101,18 +101,30 @@ _UNSET = object()  # min_cost not computed yet
 
 
 class _TableReversal:
-    """Reversal geometry of a 2x2 table under net event shifts, decided by
-    Fisher's exact test at alpha.
+    """Exact reversal questions about a 2x2 table whose cases are
+    exchangeable within each cell, decided by Fisher's exact test at alpha.
 
-    Lazily builds a boolean grid over shifts (i, j) -- restricted to the
-    per-cell permitted directions -- marking where the Fisher decision flips,
-    plus 2D prefix sums so "does this shift rectangle contain a reversal?"
-    is O(1). The grid covers a window of at most K shifts per direction.
-    It grows only when an answer needs it: a composition lookup whose
-    clipped rectangle misses while a permitted extent exceeds K, a
-    min_cost whose best hit costs more than K, prob_reversal(k) with k > K,
-    or ensure_full. Windows grow by doubling, so total work is at most
-    twice the final grid.
+    A permitted flip of a member of cell a, b, c or d moves the shift
+    (i, j) -- events gained in arm 1 and in arm 2 -- by one: down or up in
+    i for cells a and b, in j for cells c and d. The class answers:
+
+    * comps_reversible, comp_reversible: can a subset with composition
+      (k1, k2, k3, k4) reverse the decision? Exactly when its rectangle
+      -k1 <= i <= k2, -k3 <= j <= k4, with unpermitted cells at 0, holds
+      a reversing shift;
+    * prob_reversal(k): P[E_k], the probability that a uniform k-subset
+      can;
+    * min_cost: the cheapest reversing shift, computed once;
+    * worst_case: the size of the largest composition that cannot.
+
+    Behind them is a grid of the reversing shifts with 2D prefix sums, so
+    a rectangle is one O(1) lookup. It covers a window of at most K shifts
+    per direction, which starts at 8 and doubles only when an answer needs
+    it: a composition whose clipped rectangle misses while its extent
+    exceeds K, a min_cost whose best hit costs more than K, or
+    prob_reversal(k) with k > K. worst_case and min_cost(whole=True) take
+    the whole lattice. Doubling keeps the total grid work below twice the
+    final grid.
     """
 
     def __init__(
@@ -123,57 +135,39 @@ class _TableReversal:
     ):
         self.table = table
         self.alpha = float(alpha)
-        self.perms = tuple(bool(x) for x in perms)
-        # a composition (k1, k2, k3, k4) permits shifts -k1 <= i <= k2 and
-        # -k3 <= j <= k4; unpermitted cells contribute no extent
-        self._ext_sign = np.array([-1, 1, -1, 1]) * np.asarray(self.perms)
+        pa, pb, pc, pd = (bool(x) for x in perms)
+        # a composition (k1, k2, k3, k4) spans sign * (k1, k2, k3, k4) =
+        # (i_lo, i_hi, j_lo, j_hi); the whole table spans the lattice
+        self._sign = np.array([-pa, pb, -pc, pd])
+        self._lattice = self._sign * table.as_tuple()
         self._max_cell = max(table.as_tuple())
         self.lf = _lf_cache(table.n)
         self.p0 = self.p_of_shift(0, 0)
         self.sig0 = self.p0 < self.alpha
-        self._K = -1
-        self.grid: Optional[np.ndarray] = None
-        self.prefix: Optional[np.ndarray] = None
-        self.gi_lo = self.gj_lo = 0
+        self._K = -1  # no window yet
         self._min_cost = _UNSET
 
     def p_of_shift(self, i: int, j: int) -> float:
         t = self.table
         return float(fisher_p(self.lf, t.a + i, t.b - i, t.c + j, t.d - j))
 
-    def _extents(self, K: int) -> tuple[int, int, int, int]:
-        t = self.table
-        pa, pb, pc, pd = self.perms
-        return (
-            min(t.a, K) if pa else 0,
-            min(t.b, K) if pb else 0,
-            min(t.c, K) if pc else 0,
-            min(t.d, K) if pd else 0,
-        )
-
-    def ensure(self, K: int) -> None:
-        """Make the grid cover all shifts reachable by K flips per direction."""
+    def _ensure(self, K: int) -> None:
+        """Make the window cover all shifts reachable by K flips per direction."""
         if K <= self._K:
             return
         t = self.table
         K = min(max(K, 8), t.n)
         if self._K >= 0:
             K = min(max(K, 2 * self._K), t.n)
-        ea, eb, ec, ed = self._extents(K)
-        gi_lo, gi_hi = -ea, eb
-        gj_lo, gj_hi = -ec, ed
-        self.grid = reversal_grid(
+        gi_lo, gi_hi, gj_lo, gj_hi = np.clip(self._lattice, -K, K).tolist()
+        self._grid = reversal_grid(
             self.lf, t.a, t.b, t.c, t.d, self.alpha,
             1 if self.sig0 else 0, gi_lo, gi_hi, gj_lo, gj_hi,
         )
-        self.prefix = prefix_sums(self.grid)
-        self.gi_lo, self.gj_lo = gi_lo, gj_lo
+        self._prefix = prefix_sums(self._grid)
         self._win_lo = np.array([gi_lo, gi_lo, gj_lo, gj_lo])
         self._win_hi = np.array([gi_hi, gi_hi, gj_hi, gj_hi])
         self._K = K
-
-    def ensure_full(self) -> None:
-        self.ensure(self._max_cell)
 
     def comps_reversible(self, comps) -> np.ndarray:
         """Row by row over an (m, 4) array of cell compositions: can a
@@ -185,14 +179,12 @@ class _TableReversal:
         row's largest permitted extent is at most K, since the rectangle
         then lies inside the window. While some miss is not final, the
         window doubles and the rows are looked up again."""
-        # the permitted-shift rectangle of each row: -k1 <= i <= k2 and
-        # -k3 <= j <= k4, zero extent for unpermitted cells
-        ext = np.asarray(comps, dtype=np.int64) * self._ext_sign
-        self.ensure(0)  # a cold context starts from the smallest window
+        ext = np.asarray(comps, dtype=np.int64) * self._sign
+        self._ensure(0)  # a cold context starts from the smallest window
         out = self._window_hits(ext)
         # past the largest cell the window spans the whole permitted lattice
         while self._K < self._max_cell and np.abs(ext[~out]).max(initial=0) > self._K:
-            self.ensure(self._K + 1)  # doubles the window
+            self._ensure(self._K + 1)  # doubles the window
             out = self._window_hits(ext)
         return out
 
@@ -200,28 +192,30 @@ class _TableReversal:
         """Reversals in each signed-extent rectangle clipped to the window."""
         ext = np.minimum(np.maximum(ext, self._win_lo), self._win_hi)
         box = ext - self._win_lo
-        return rect_counts(self.prefix, box[:, 0], box[:, 1], box[:, 2], box[:, 3]) > 0
+        return rect_counts(self._prefix, box[:, 0], box[:, 1], box[:, 2], box[:, 3]) > 0
 
-    def comp_reversible(self, comp: tuple[int, int, int, int]) -> bool:
+    def comp_reversible(self, comp) -> bool:
         """comps_reversible for one composition."""
         return bool(self.comps_reversible([comp])[0])
 
     def prob_reversal(self, k: int) -> float:
         """Exact P[a uniform k-subset admits a permitted reversal]."""
         t = self.table
-        self.ensure(k)
-        pa, pb, pc, pd = self.perms
+        self._ensure(k)
         return float(
             comp_prob(
-                self.lf, self.prefix, t.a, t.b, t.c, t.d, k,
-                pa, pb, pc, pd, self.gi_lo, self.gj_lo,
+                self.lf, self._prefix, t.a, t.b, t.c, t.d, k,
+                self._sign, self._win_lo[0], self._win_lo[2],
             )
         )
 
-    def min_cost(self) -> Optional[tuple[int, tuple[int, int]]]:
+    def min_cost(self, whole: bool = False) -> Optional[tuple[int, tuple[int, int]]]:
         """Minimum |i|+|j| over permitted reversing shifts, with the
         realizing shift (ties: smallest i, then smallest j); None if the
-        whole permitted lattice contains no reversal. Computed once."""
+        whole permitted lattice contains no reversal. Computed once;
+        whole=True builds the grid over the whole lattice first."""
+        if whole:
+            self._ensure(self._max_cell)
         if self._min_cost is _UNSET:
             self._min_cost = self._find_min_cost()
         return self._min_cost
@@ -229,13 +223,13 @@ class _TableReversal:
     def _find_min_cost(self) -> Optional[tuple[int, tuple[int, int]]]:
         K = 8
         while True:
-            self.ensure(K)
+            self._ensure(K)
             K = self._K
             whole = K >= self._max_cell
-            hit = np.argwhere(self.grid == 1)
+            hit = np.argwhere(self._grid == 1)
             if hit.size:
-                i = hit[:, 0] + self.gi_lo
-                j = hit[:, 1] + self.gj_lo
+                i = hit[:, 0] + self._win_lo[0]
+                j = hit[:, 1] + self._win_lo[2]
                 cost = np.abs(i) + np.abs(j)
                 best = int(cost.min())
                 # a cheaper reversal would lie inside the window, and a
@@ -249,17 +243,64 @@ class _TableReversal:
                 return None
             K *= 2
 
+    def worst_case(self) -> int:
+        """Size of the largest composition that cannot reverse the
+        decision, by scanning rectangle extents over the whole lattice."""
+        self._ensure(self._max_cell)
+        A, B, C, D = np.abs(self._lattice).tolist()
+        # members of permission-less cells enlarge a subset without
+        # enlarging its rectangle
+        base = self.table.n - (A + B + C + D)
+        # the window is the lattice, so shift (i, j) sits at row A + i and
+        # column C + j; Pi[x, col] counts the reversals in rows < x
+        Pi = self._prefix[:, 1:] - self._prefix[:, :-1]
+        kb = np.arange(B + 1)
+        best = -1
+        for ka in range(A + 1):
+            # clean[kb, col]: no reversal in rows -ka..kb of that column
+            clean = Pi[A + 1 + kb] == Pi[A - ka][None, :]
+            valid = clean[:, C]
+            if not valid.any():
+                continue
+            # the clean columns reach `down` below and `up` above j = 0
+            down = up = 0
+            if C > 0:
+                dn = ~clean[:, C - 1 :: -1][:, :C]
+                down = np.where(dn.any(axis=1), dn.argmax(axis=1), C)
+            if D > 0:
+                upb = ~clean[:, C + 1 :][:, :D]
+                up = np.where(upb.any(axis=1), upb.argmax(axis=1), D)
+            total = np.where(valid, ka + kb + down + up, -1)
+            best = max(best, int(total.max()))
+        return base + best
+
 
 _CTX_CACHE: "OrderedDict[tuple, _TableReversal]" = OrderedDict()
 _CTX_CACHE_MAX = 16
 
 
-def _context_for(
-    table: Table2x2,
-    test: TestSpec,
-    perms: tuple[bool, bool, bool, bool] = (True, True, True, True),
+def _table_context(
+    table: Table2x2, test: TestSpec, modifier: Optional[Modifier] = None
 ) -> _TableReversal:
-    """The cached reversal context of (table, alpha, perms); Fisher only."""
+    """The cached reversal context of `table` under Fisher's test at
+    test.alpha. Every flip is permitted unless a modifier is given; it must
+    be cell-uniform with a binary outcome and built over a frame that
+    aggregates to `table`, and it permits a cell's flips when it permits
+    them for the cell's members."""
+    perms = (True, True, True, True)
+    if modifier is not None:
+        cells = modifier.base_arm_codes * 2 + modifier.base_outcome_codes
+        if tuple(np.bincount(cells, minlength=4).tolist()) != table.as_tuple():
+            raise InvalidParameterError("modifier was built over a different table")
+        if not modifier.cell_uniform:
+            raise InvalidParameterError("modifier is not cell-uniform")
+        if len(modifier.outcome_levels) != 2:
+            raise InvalidParameterError("cell permissions need a binary outcome")
+        # a case's one change is to the other outcome; an empty cell
+        # reports False (vacuous)
+        ge = modifier.probs >= modifier.q
+        flips = np.where(modifier.base_outcome_codes == 0, ge[:, 1], ge[:, 0])
+        perms = tuple((np.bincount(cells, weights=flips, minlength=4) > 0).tolist())
     if test.table_p is not _fisher_table_p:
         raise InvalidParameterError(
             f"test {test.name!r} is not Fisher's exact test; the exact 2x2 "
@@ -277,44 +318,20 @@ def _context_for(
     return ctx
 
 
-def _frame_cell_codes(frame: CaseFrame) -> np.ndarray:
-    """Cell of each case in table orientation: 0=a, 1=b, 2=c, 3=d."""
-    return frame.arm_codes * 2 + frame.outcome_codes
-
-
-def _modifier_cell_perms(modifier: Modifier) -> tuple[bool, bool, bool, bool]:
-    """Per-cell permission to flip to the opposite outcome (binary only).
-    Cells with no member are reported False (vacuous)."""
-    if not modifier.cell_uniform:
-        raise InvalidParameterError("modifier is not cell-uniform")
-    if len(modifier.outcome_levels) != 2:
-        raise InvalidParameterError("cell permissions need a binary outcome")
-    pm = modifier.probs >= modifier.q
-    cells = modifier.base_arm_codes * 2 + modifier.base_outcome_codes
-    out = []
-    for cell in range(4):
-        rows = np.nonzero(cells == cell)[0]
-        if rows.size == 0:
-            out.append(False)
-        else:
-            target = 1 - (cell % 2)
-            out.append(bool(pm[rows[0], target]))
-    return tuple(out)
-
-
-def _modifier_table(modifier: Modifier) -> Table2x2:
-    cells = modifier.base_arm_codes * 2 + modifier.base_outcome_codes
-    counts = [int(np.sum(cells == c)) for c in range(4)]
-    return Table2x2(*counts)
-
-
-def _exchangeable(frame: CaseFrame, modifier: Modifier, test: TestSpec) -> bool:
-    return (
+def _frame_context(
+    frame: CaseFrame, modifier: Modifier, test: TestSpec
+) -> Optional[_TableReversal]:
+    """The frame's reversal context, or None when its cases are not
+    exchangeable within cells: that needs Fisher's test, a cell-uniform
+    modifier and a binary frame with at most two arms."""
+    if (
         test.table_p is _fisher_table_p
         and modifier.cell_uniform
         and len(frame.arm_levels) <= 2
         and len(frame.outcome_levels) == 2
-    )
+    ):
+        return _table_context(table_from_frame(frame), test, modifier)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +346,7 @@ def fi_2x2_exact(table: Table2x2, test: TestSpec) -> FragilityResult:
     shifted table flips the decision; the plan realizes that shift on the
     canonical long-format frame (ids 0..n-1 in cell order a, b, c, d).
     """
-    ctx = _context_for(table, test)
+    ctx = _table_context(table, test)
     p0, sig0 = ctx.p0, ctx.sig0
     found = ctx.min_cost()
     if found is None:
@@ -370,20 +387,21 @@ def gfi_greedy(
 
     Each step scores every available change. On a binary frame a flip
     evaluator scores them in one batch: _TableFlipEval over table_p when
-    the frame has at most two arms, else the test's make_fast_eval; its
-    refit of the chosen change gives the step's p. Otherwise each change
-    is scored by p_value, NaN where the fit does not converge.
+    the frame has at most two arms, whose batch p is the chosen change's
+    exact p, else the test's make_fast_eval, whose refit of the chosen
+    change gives the step's p. Otherwise each change is scored by p_value,
+    NaN where the fit does not converge.
     """
     if modifier.probs.shape[0] != frame.n:
         raise InvalidParameterError("modifier was built for a different frame")
     levels = frame.outcome_levels
     binary = len(levels) == 2
     y = np.array(frame.outcome_codes)
-    ev = None
+    ev, refits = None, False
     if binary and test.table_p is not None and len(frame.arm_levels) <= 2:
         ev = _TableFlipEval(frame, test.table_p)
     elif binary and test.make_fast_eval is not None:
-        ev = test.make_fast_eval(frame)
+        ev, refits = test.make_fast_eval(frame), True
     # the evaluator's exact refit gives p0 and the logistic warm start
     p0 = test.p_value(frame) if ev is None else ev.refit(y)
     sig0 = is_significant(p0, test.alpha)
@@ -416,9 +434,9 @@ def gfi_greedy(
         y[r] = m
         available[r, :] = False
         entries.append((int(frame.case_ids[r]), levels[m]))
-        # an evaluator's exact refit is the authoritative p and the warm
-        # start of the next step
-        p_cur = float(ps[k]) if ev is None else ev.refit(y)
+        # a fast evaluator's exact refit is the authoritative p and the
+        # warm start of the next step
+        p_cur = ev.refit(y) if refits else float(ps[k])
         if is_significant(p_cur, test.alpha) != sig0:
             index = step if sig0 else -step
             return FragilityResult(
@@ -465,15 +483,12 @@ def reversible(
     two-arm frame) are answered exactly through the composition oracle;
     everything else falls back to the greedy search.
     """
-    if _exchangeable(frame, modifier, test):
-        ctx = _context_for(
-            table_from_frame(frame), test, _modifier_cell_perms(modifier)
-        )
-        cells = _frame_cell_codes(frame)
+    ctx = _frame_context(frame, modifier, test)
+    if ctx is not None:
+        cells = frame.arm_codes * 2 + frame.outcome_codes
         if restriction is not None:
             cells = cells[frame.positions_of(restriction)]
-        comp = tuple(int(np.sum(cells == c)) for c in range(4))
-        return ctx.comp_reversible(comp)
+        return ctx.comp_reversible(np.bincount(cells, minlength=4))
     return not is_unbounded(gfi_greedy(frame, modifier, test, restriction).index)
 
 
@@ -497,7 +512,4 @@ def reversible_2x2_exact(
         raise InvalidParameterError(
             f"composition {comp} exceeds cell counts {cells}"
         )
-    if _modifier_table(modifier).as_tuple() != cells:
-        raise InvalidParameterError("modifier was built over a different table")
-    ctx = _context_for(table, test, _modifier_cell_perms(modifier))
-    return ctx.comp_reversible(comp)
+    return _table_context(table, test, modifier).comp_reversible(comp)

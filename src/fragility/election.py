@@ -11,12 +11,12 @@ eligible), i.e. the minimal m with P[Hypergeometric(N, K, m) >= g] > 1/2.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
+from .cases import _csv_rows
 from .core import UNBOUNDED, Index, is_unbounded
 from .errors import InvalidParameterError, ParseError, SchemaError
 from .stats import _bracket_crossing, _check_int, hypergeom_sf
@@ -236,31 +236,25 @@ _TALLY_COLUMNS = ("state", "votes_a", "votes_b", "nonvoters", "electors")
 
 def load_tally_csv(path: str) -> tuple[StateTally, ...]:
     """Read state tallies from a CSV with columns state, votes_a, votes_b,
-    nonvoters, electors."""
+    nonvoters, electors. A byte-order mark is skipped; bytes that are not
+    UTF-8 and fields past the csv module's size limit raise ParseError."""
     out: list[StateTally] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file")
-        missing = [c for c in _TALLY_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {missing}")
-        for rownum, row in enumerate(reader, start=1):
-            name = row.get("state") or ""
-            if not name:
-                raise ParseError("missing state name", row=rownum)
-            vals = {}
-            for col in _TALLY_COLUMNS[1:]:
-                raw = row.get(col)
-                if raw is None or raw == "":
-                    raise ParseError(f"missing {col!r}", row=rownum)
-                try:
-                    vals[col] = int(raw)
-                except ValueError:
-                    raise ParseError(
-                        f"{col!r} value {raw!r} is not an integer", row=rownum
-                    ) from None
-            out.append(StateTally(name=name, **vals))
+    for rownum, row in _csv_rows(path, _TALLY_COLUMNS):
+        name = row.get("state") or ""
+        if not name:
+            raise ParseError("missing state name", row=rownum)
+        vals = {}
+        for col in _TALLY_COLUMNS[1:]:
+            raw = row.get(col)
+            if raw is None or raw == "":
+                raise ParseError(f"missing {col!r}", row=rownum)
+            try:
+                vals[col] = int(raw)
+            except ValueError:
+                raise ParseError(
+                    f"{col!r} value {raw!r} is not an integer", row=rownum
+                ) from None
+        out.append(StateTally(name=name, **vals))
     if not out:
         raise SchemaError(f"{path}: no data rows")
     return tuple(out)

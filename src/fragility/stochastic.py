@@ -22,18 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cases import CaseFrame, Modifier, table_from_frame
-from .core import (
-    UNBOUNDED,
-    Index,
-    _context_for,
-    _exchangeable,
-    _frame_cell_codes,
-    _modifier_cell_perms,
-    _modifier_table,
-    gfi_greedy,
-    is_unbounded,
-)
+from .cases import CaseFrame, Modifier
+from .core import UNBOUNDED, Index, _frame_context, _table_context, gfi_greedy, is_unbounded
 from .errors import DiagnosticError, InvalidParameterError
 from .stats import Table2x2, TestSpec, _bracket_crossing, _check_int, _lchoose, is_significant
 
@@ -158,24 +148,19 @@ class _ReversalSampler:
     Exchangeable instances draw all trials' cell compositions at once and
     answer them with one lookup in the exact rectangle oracle (`ctx`);
     general instances sample case subsets and run the restricted greedy
-    search. The context and cell counts are set up once, so each estimate
-    pays only for its draws.
+    search. The context is set up once, so each estimate pays only for its
+    draws.
     """
 
     def __init__(self, frame: CaseFrame, modifier: Modifier, test: TestSpec):
         self.frame, self.modifier, self.test = frame, modifier, test
-        self.ctx = None
-        if _exchangeable(frame, modifier, test):
-            self.ctx = _context_for(
-                table_from_frame(frame), test, _modifier_cell_perms(modifier)
-            )
-            self.colors = np.bincount(_frame_cell_codes(frame), minlength=4)
+        self.ctx = _frame_context(frame, modifier, test)
 
     def estimate(self, k: int, trials: int, seed: int) -> ReversalEstimate:
         """Every trial draws from one generator seeded by `seed`."""
         rng = np.random.default_rng(seed)
         if self.ctx is not None:
-            comps = rng.multivariate_hypergeometric(self.colors, k, size=trials)
+            comps = rng.multivariate_hypergeometric(self.ctx.table.as_tuple(), k, size=trials)
             hits = int(np.count_nonzero(self.ctx.comps_reversible(comps)))
         else:
             frame = self.frame
@@ -232,7 +217,7 @@ def _worst_case_k(sampler: _ReversalSampler) -> int:
     """Smallest k such that EVERY k-subset admits a permitted reversal
     (the r = '1-' index). Caller guarantees the full frame is reversible."""
     if sampler.ctx is not None:
-        return _worst_case_exchangeable(sampler.ctx) + 1
+        return sampler.ctx.worst_case() + 1
     frame, modifier, test = sampler.frame, sampler.modifier, sampler.test
     if frame.n > WORST_CASE_GUARD:
         raise InvalidParameterError(
@@ -247,50 +232,6 @@ def _worst_case_k(sampler: _ReversalSampler) -> int:
         ):
             return k
     raise DiagnosticError("reversible frame has no almost-sure index")  # pragma: no cover
-
-
-def _worst_case_exchangeable(ctx) -> int:
-    """Maximum size of a NON-reversing composition, by scanning extents of
-    the permitted-shift rectangle against the full reversal grid."""
-    ctx.ensure_full()
-    a, b, c, d = ctx.table.as_tuple()
-    pa, pb, pc, pd = ctx.perms
-    # members of permission-less cells enlarge a subset without enlarging
-    # its shift rectangle
-    base = (0 if pa else a) + (0 if pb else b) + (0 if pc else c) + (0 if pd else d)
-    A = a if pa else 0
-    B = b if pb else 0
-    C = c if pc else 0
-    D = d if pd else 0
-    S = ctx.prefix
-    gi_lo, gj_lo = ctx.gi_lo, ctx.gj_lo
-    # per-column prefix over rows: Pi[x, j] = reversals in rows < x, column j
-    Pi = S[:, 1:] - S[:, :-1]
-    j0 = -gj_lo
-    kb_rows = np.arange(B + 1) - gi_lo + 1  # row index just past i = kb
-    best = -1
-    for ka in range(A + 1):
-        lo_row = -ka - gi_lo
-        clean = Pi[kb_rows] == Pi[lo_row][None, :]  # (B+1, J)
-        valid = clean[:, j0]
-        if not valid.any():
-            continue
-        down = np.full(B + 1, 0, dtype=np.int64)
-        up = np.full(B + 1, 0, dtype=np.int64)
-        if C > 0:
-            dn = ~clean[:, j0 - 1 :: -1][:, :C]
-            hasd = dn.any(axis=1)
-            down = np.where(hasd, dn.argmax(axis=1), C)
-        if D > 0:
-            upb = ~clean[:, j0 + 1 :][:, :D]
-            hasu = upb.any(axis=1)
-            up = np.where(hasu, upb.argmax(axis=1), D)
-        total = ka + np.arange(B + 1) + down + up
-        total = np.where(valid, total, -1)
-        m = int(total.max())
-        if m > best:
-            best = m
-    return base + best
 
 
 def sgfi(
@@ -420,17 +361,14 @@ def exact_sfi_2x2(
         raise InvalidParameterError(f"r must lie in [0, 1), got {r!r}")
     r = float(r)
     _check_int("max_k", max_k)
-    if _modifier_table(modifier).as_tuple() != table.as_tuple():
-        raise InvalidParameterError("modifier was built over a different table")
-    ctx = _context_for(table, test, _modifier_cell_perms(modifier))
+    ctx = _table_context(table, test, modifier)
     p0, sig0 = ctx.p0, ctx.sig0
-    # Held on the full grid: without this line a perfbench trial_sweep
+    # whole=True holds the full grid: without it a perfbench trial_sweep
     # table takes about a tenth of the time, and a run outgrows the fresh
     # tables make_table can draw (the FOUND entry on
     # perfbench/workloads.py::make_table in CHANGES.md; ROADMAP's benchmark
-    # item). Delete it once make_table is mended.
-    ctx.ensure_full()
-    found = ctx.min_cost()
+    # item). Drop it once make_table is mended.
+    found = ctx.min_cost(whole=True)
     if found is None:
         return ExactSfiResult(UNBOUNDED, None, None, sig0, p0)
     det = found[0]

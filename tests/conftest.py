@@ -216,3 +216,26 @@ def nhefs_frame():
     from fragility.cases import load_csv
 
     return load_csv(str(path), arm="qsmk", outcome="death", covariates=("smokeyrs",))
+
+
+# --- CSV files the readers must refuse or accept --------------------------------
+
+# (header, data rows) of a case file and of a tally file
+CSV_LAYOUTS = {
+    "cases": ("arm,outcome", ["t,e", "c,n"]),
+    "tally": ("state,votes_a,votes_b,nonvoters,electors", ["x,1,2,3,4", "y,5,6,7,8"]),
+}
+
+
+def write_csv(path, layout, fault=None, copies=1):
+    """A file of the layout with `copies` copies of its two data rows, then
+    the fault: "undecodable" appends the byte 0xFF, "long-field" a row
+    whose first field holds 140,000 characters (past the csv module's
+    field limit) and "bom" writes a UTF-8 byte-order mark first."""
+    header, rows = CSV_LAYOUTS[layout]
+    body = "\n".join([header] + rows * copies) + "\n"
+    if fault == "long-field":
+        body += "y" * 140_000 + rows[0][rows[0].index(","):] + "\n"
+    data = body.encode("utf-8-sig" if fault == "bom" else "utf-8")
+    path.write_bytes(data + (b"\xff\n" if fault == "undecodable" else b""))
+    return str(path)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from conftest import write_csv
 from fragility.cases import (
     CaseFrame,
     ModificationPlan,
@@ -18,6 +19,7 @@ from fragility.cases import (
     reverse_plan,
     table_from_frame,
 )
+from fragility.election import load_tally_csv
 from fragility.errors import (
     DataError,
     InvalidParameterError,
@@ -236,3 +238,37 @@ def test_load_csv_blank_field_reports_row(tmp_path):
     with pytest.raises(ParseError) as err:
         load_csv(path, arm="arm", outcome="outcome")
     assert "row 2" in str(err.value)
+
+
+def case_labels(path):
+    frame = load_csv(path, arm="arm", outcome="outcome")
+    return frame.arms.tolist(), frame.outcomes.tolist()
+
+
+# load_csv and load_tally_csv read files through one row reader
+READERS = {"cases": case_labels, "tally": load_tally_csv}
+
+
+@pytest.mark.parametrize("copies", [1, 1500], ids=["in-header-chunk", "past-first-chunk"])
+@pytest.mark.parametrize("layout", sorted(READERS))
+def test_csv_readers_refuse_undecodable_bytes(tmp_path, layout, copies):
+    # the decoder reads ahead of the rows, so no row is named
+    path = write_csv(tmp_path / "bad.csv", layout, "undecodable", copies)
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        READERS[layout](path)
+    assert err.value.row is None
+
+
+@pytest.mark.parametrize("layout", sorted(READERS))
+def test_csv_readers_refuse_an_over_long_field(tmp_path, layout):
+    path = write_csv(tmp_path / "long.csv", layout, "long-field")
+    with pytest.raises(ParseError, match="field limit") as err:
+        READERS[layout](path)
+    assert err.value.row == 3
+
+
+@pytest.mark.parametrize("layout", sorted(READERS))
+def test_csv_readers_skip_a_byte_order_mark(tmp_path, layout):
+    read = READERS[layout]
+    plain = read(write_csv(tmp_path / "plain.csv", layout))
+    assert read(write_csv(tmp_path / "bom.csv", layout, "bom")) == plain

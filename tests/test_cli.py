@@ -11,7 +11,7 @@ import pytest
 
 import fragility
 
-from conftest import NEAR_SEPARATED
+from conftest import NEAR_SEPARATED, write_csv
 from fragility import cli
 from fragility.cases import empirical_modifier, frame_from_table
 from fragility.cli import emit_report, main
@@ -410,6 +410,34 @@ def test_non_finite_covariate_exits_2(capsys, tmp_path, cmd, bad):
     assert rc == 2
     assert err.startswith("error:") and "row 3" in err and "finite" in err
     assert "Traceback" not in err and "rank" not in err
+
+
+CSV_ARGS = {"cases": ["gfi", "--arm", "arm", "--outcome", "outcome"], "tally": ["election"]}
+
+
+@pytest.mark.parametrize("fault", ["undecodable", "long-field"])
+@pytest.mark.parametrize("layout", sorted(CSV_ARGS))
+def test_unreadable_csv_exits_2_without_traceback(tmp_path, layout, fault):
+    path = write_csv(tmp_path / "bad.csv", layout, fault)
+    env = dict(os.environ, PYTHONPATH=str(Path(fragility.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fragility.cli", *CSV_ARGS[layout], "--csv", path],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("layout", sorted(CSV_ARGS))
+def test_csv_with_byte_order_mark_reads_like_plain(capsys, tmp_path, layout):
+    reports = []
+    for name, fault in (("plain.csv", None), ("bom.csv", "bom")):
+        path = write_csv(tmp_path / name, layout, fault)
+        rc, report, _ = run_json(capsys, *CSV_ARGS[layout], "--csv", path)
+        assert rc == 0
+        report.pop("timing_s")
+        reports.append(json.dumps(report).replace(path, "PATH"))
+    assert reports[0] == reports[1]
 
 
 # --- exit code 3: diagnostics ---------------------------------------------------

@@ -42,10 +42,9 @@ from fragility._kernels import tie_rel
 from fragility.core import (
     UNBOUNDED,
     FragilityResult,
-    _context_for,
     _select_candidate,
+    _table_context,
     _TableReversal,
-    _modifier_cell_perms,
     fi_2x2_exact,
     gfi_greedy,
     is_unbounded,
@@ -290,6 +289,31 @@ def test_reversal_grid_worked_window():
     check_grid_against_scipy(TABLE3, 30)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=hst.tuples(*[hst.integers(0, 30)] * 4),
+    alpha=hst.sampled_from([0.01, 0.05, 0.2]),
+)
+def test_reversals_on_a_diagonal_form_one_interval_or_two_tails(cells, alpha):
+    # a shift keeps both arm sizes, so the shifts on one diagonal i + j = s
+    # share every margin and differ only in x = a + i. The Fisher p grows
+    # with the pmf of x, which is unimodal, so the non-significant x form
+    # one interval: the reversing shifts of a significant table, or the
+    # gap between the two tails of reversing shifts of one that is not
+    assume(sum(cells) > 0)
+    a, b, c, d = cells
+    lf = log_factorials(a + b + c + d)
+    sig0 = fisher_p(lf, a, b, c, d) < alpha
+    grid = reversal_grid(lf, a, b, c, d, alpha, int(sig0), -a, b, -c, d)
+    # grid[a + i, c + j]; reversing the columns turns each diagonal i + j = s
+    # into a diagonal of the array, ordered by i
+    flipped = grid[:, ::-1]
+    for offset in range(1 - grid.shape[0], grid.shape[1]):
+        line = np.diagonal(flipped, offset)
+        inner = np.flatnonzero(line if sig0 else 1 - line)
+        assert inner.size == 0 or inner[-1] - inner[0] + 1 == inner.size
+
+
 # --- greedy generalized index ---------------------------------------------------
 
 
@@ -320,6 +344,21 @@ def test_gfi_is_deterministic(frame3, fisher05):
     assert ids == sorted(ids)
 
 
+def test_gfi_greedy_table_step_scores_each_moved_table_once(fisher05, monkeypatch):
+    # a table step scores at most four moved tables in one batch, and the
+    # chosen table's batch p is the step's p: nothing scores it again
+    calls = []
+    fisher_p = stats.fisher_p
+    monkeypatch.setattr(stats, "fisher_p", lambda *a: calls.append(a) or fisher_p(*a))
+    frame = frame_from_table(Table2x2(1000, 9000, 1200, 8800))
+    res = gfi_greedy(frame, empirical_modifier(frame, 0.0), fisher05)
+    assert res.index == 111
+    # the arm-1 non-events 1000..1110 become events, in id order
+    assert res.plan.entries == tuple((cid, "event") for cid in range(1000, 1111))
+    assert len(calls) <= 4 * res.index + 1
+    assert res.p_after == stats.fisher_exact_two_sided(Table2x2(1111, 8889, 1200, 8800))
+
+
 def test_gfi_respects_restriction(frame3, fisher05):
     mod = empirical_modifier(frame3, 0.0)
     res = gfi_greedy(frame3, mod, fisher05, restriction=range(3))
@@ -332,6 +371,9 @@ def test_gfi_rejects_foreign_modifier(frame3, frame2, fisher05):
     mod = empirical_modifier(frame2, 0.0)
     with pytest.raises(InvalidParameterError):
         gfi_greedy(frame3, mod, fisher05)
+    # the exact path checks the modifier against the frame's table
+    with pytest.raises(InvalidParameterError, match="different table"):
+        reversible(frame3, mod, fisher05)
 
 
 def cold_greedy(frame, modifier, restriction=None):
@@ -586,7 +628,7 @@ def test_batched_lookup_matches_shift_enumeration(cells, q, fisher05, evict_cont
     table = Table2x2(*cells)
     mod = empirical_modifier(frame_from_table(table), q)
     evict_contexts(cells)
-    ctx = _context_for(table, fisher05, _modifier_cell_perms(mod))
+    ctx = _table_context(table, fisher05, mod)
     comps = np.array(list(itertools.product(*(range(n + 1) for n in cells))))
     got = ctx.comps_reversible(comps)
     perms = oracle_cell_perms(cells, q)
@@ -621,8 +663,8 @@ def test_reversible_full_frame_needs_only_a_small_window(
     for q in (0.0, 0.2, 0.5):
         mod = empirical_modifier(frame3, q)
         assert reversible(frame3, mod, fisher05)
-        ctx = _context_for(table3, fisher05, _modifier_cell_perms(mod))
-        assert ctx.grid.shape[0] <= 33 and ctx.grid.shape[1] <= 33
+        ctx = _table_context(table3, fisher05, mod)
+        assert ctx._grid.shape[0] <= 33 and ctx._grid.shape[1] <= 33
 
 
 def test_reversible_doubles_the_window_past_a_cold_miss(fisher05, evict_contexts):
@@ -633,8 +675,8 @@ def test_reversible_doubles_the_window_past_a_cold_miss(fisher05, evict_contexts
     frame = frame_from_table(Table2x2(*cells))
     mod = empirical_modifier(frame, 0.0)
     assert reversible(frame, mod, fisher05)
-    ctx = _context_for(Table2x2(*cells), fisher05, _modifier_cell_perms(mod))
-    assert ctx.grid.shape == (27, 33)
+    ctx = _table_context(Table2x2(*cells), fisher05, mod)
+    assert ctx._grid.shape == (27, 33)
 
 
 def test_reversible_falls_back_without_exchangeability(fisher05):

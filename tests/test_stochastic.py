@@ -17,7 +17,7 @@ from hypothesis import strategies as hst
 from conftest import ALPHA, ORACLE_KMAX, oracle_crossing, scipy_fisher_test, scipy_p
 from fragility import stochastic
 from fragility.cases import Modifier, empirical_modifier, frame_from_table
-from fragility.core import UNBOUNDED, _context_for, _modifier_cell_perms, gfi_greedy
+from fragility.core import UNBOUNDED, _table_context, gfi_greedy
 from fragility.errors import InvalidParameterError
 from fragility.repro import _exact_prob_reversal
 from fragility.stats import Table2x2, _bracket_crossing
@@ -91,7 +91,7 @@ def test_exact_sfi_unbounded_and_validation(table3, table2, frame2, mod0, fisher
 def linear_scan_sfi(table, modifier, test, r, max_k):
     """exact_sfi_2x2 as a scan over k = 1, 2, ...: (index, P[E_k],
     P[E_(k-1)]) at the first k with P[E_k] > r; None once max_k is passed."""
-    ctx = _context_for(table, test, _modifier_cell_perms(modifier))
+    ctx = _table_context(table, test, modifier)
     if not ctx.comp_reversible(table.as_tuple()):
         return UNBOUNDED, None, None
     prev = 0.0
@@ -168,10 +168,10 @@ def test_probability_reversal_independent_of_grid_window(fisher05, evict_context
     mod = empirical_modifier(frame, 0.0)
     evict_contexts(cells)
     cold = probability_reversal(9, frame, mod, fisher05, trials=500, seed=4)
-    ctx = _context_for(Table2x2(*cells), fisher05, _modifier_cell_perms(mod))
-    assert ctx.grid.shape[0] < cells[0] + cells[1] + 1
-    ctx.ensure_full()
-    assert ctx.grid.shape == (cells[0] + cells[1] + 1, cells[2] + cells[3] + 1)
+    ctx = _table_context(Table2x2(*cells), fisher05, mod)
+    assert ctx._grid.shape[0] < cells[0] + cells[1] + 1
+    ctx.min_cost(whole=True)
+    assert ctx._grid.shape == (cells[0] + cells[1] + 1, cells[2] + cells[3] + 1)
     assert probability_reversal(9, frame, mod, fisher05, trials=500, seed=4) == cold
 
 
